@@ -1,24 +1,12 @@
-(* The wire (a shared-bandwidth Resource) always lives on the sending
-   side's engine; what varies is where the far end of the propagation
-   delay lands. [Local] completes on the same engine; [Remote] crosses
-   a shard boundary through the partitioned coordinator, whose
-   conservative protocol is safe here exactly because the channel's
-   lookahead was registered as the link's propagation latency — no
-   delivery can undercut it. *)
-type far_end =
-  | Local
-  | Remote of { par : Simkit.Par_engine.t; src : int; dst : int }
-
 type t = {
   engine : Simkit.Engine.t;
   link_name : string;
   latency : float;
   wire : Simkit.Resource.t;
   bytes_per_s : float;
-  far_end : far_end;
 }
 
-let make engine ~name ~latency_ms ~gbit_per_s ~far_end =
+let create engine ?(name = "link") ~latency_ms ~gbit_per_s () =
   if latency_ms < 0.0 then invalid_arg "Link.create: negative latency";
   if gbit_per_s <= 0.0 then invalid_arg "Link.create: non-positive bandwidth";
   let bytes_per_s = gbit_per_s *. 1e9 /. 8.0 in
@@ -28,25 +16,7 @@ let make engine ~name ~latency_ms ~gbit_per_s ~far_end =
     latency = latency_ms /. 1000.0;
     wire = Simkit.Resource.create engine ~name ~capacity:bytes_per_s;
     bytes_per_s;
-    far_end;
   }
-
-let create engine ?(name = "link") ~latency_ms ~gbit_per_s () =
-  make engine ~name ~latency_ms ~gbit_per_s ~far_end:Local
-
-let create_cross par ?(name = "xlink") ~src ~dst ~latency_ms ~gbit_per_s () =
-  if latency_ms <= 0.0 then
-    invalid_arg "Link.create_cross: cross-partition latency must be positive";
-  if src <> dst then
-    (* The propagation latency is this pair's lookahead: every delivery
-       is scheduled at send-completion time + latency, so nothing can
-       arrive closer than that. Repeated registrations keep the pair's
-       minimum, so many links may share one channel. *)
-    Simkit.Par_engine.connect par ~src ~dst ~lookahead:(latency_ms /. 1000.0);
-  make
-    (Simkit.Par_engine.shard par src)
-    ~name ~latency_ms ~gbit_per_s
-    ~far_end:(Remote { par; src; dst })
 
 let name t = t.link_name
 let latency_s t = t.latency
@@ -55,21 +25,9 @@ let send t ~bytes k =
   if bytes < 0 then invalid_arg "Link.send: negative size";
   ignore
     (Simkit.Resource.submit t.wire ~work:(float_of_int bytes) (fun () ->
-         match t.far_end with
-         | Local -> Simkit.Process.delay t.engine t.latency k
-         | Remote { par; src; dst } ->
-           Simkit.Par_engine.send par ~src ~dst
-             ~time:(Simkit.Engine.now t.engine +. t.latency)
-             k))
+         Simkit.Process.delay t.engine t.latency k))
 
 let round_trip t ~request_bytes ~response_bytes k =
-  (* On a cross link the response continuation runs on the far shard,
-     where this link's wire must not be touched — a reply needs its own
-     dst -> src link driven from over there. *)
-  (match t.far_end with
-  | Local -> ()
-  | Remote _ ->
-    invalid_arg "Link.round_trip: cross-partition link is one-way");
   send t ~bytes:request_bytes (fun () -> send t ~bytes:response_bytes k)
 
 let uncontended_time t ~bytes =

@@ -2,13 +2,7 @@
 
     A latency + shared-bandwidth pipe between the client host and a
     server NIC, used by workload generators that want wire realism
-    beyond the server NIC itself.
-
-    A link can also span two shards of a partitioned simulation
-    ({!create_cross}): the wire stays on the sending shard, and the
-    propagation latency doubles as the shard pair's {e lookahead} in
-    [Simkit.Par_engine]'s conservative protocol — the natural fit,
-    since no delivery can undercut the speed of the wire. *)
+    beyond the server NIC itself. *)
 
 type t
 
@@ -20,35 +14,13 @@ val create :
   unit ->
   t
 
-val create_cross :
-  Simkit.Par_engine.t ->
-  ?name:string ->
-  src:int ->
-  dst:int ->
-  latency_ms:float ->
-  gbit_per_s:float ->
-  unit ->
-  t
-(** One-way link from shard [src] to shard [dst]. The wire (bandwidth
-    contention) lives on [src]'s engine; completions are delivered
-    through the coordinator at wire-exit time + latency, ordered by
-    (time, sender shard, sequence). Registers [latency_ms] as the
-    pair's lookahead, so the latency must be strictly positive (raises
-    [Invalid_argument] otherwise). A reply path is simply a second
-    cross link in the other direction. [src = dst] degrades to a local
-    link on that shard. *)
-
 val name : t -> string
 val latency_s : t -> float
 
 val send : t -> bytes:int -> (unit -> unit) -> unit
-(** Deliver [bytes]: one propagation latency plus contended wire time.
-    On a cross link the continuation runs on the destination shard. *)
+(** Deliver [bytes]: one propagation latency plus contended wire time. *)
 
 val round_trip : t -> request_bytes:int -> response_bytes:int -> (unit -> unit) -> unit
-(** Request out, response back: two latencies plus both transfers.
-    Local links only — on a cross link the response would have to drive
-    the wire from the far shard (raises [Invalid_argument]; use a pair
-    of cross links instead). *)
+(** Request out, response back: two latencies plus both transfers. *)
 
 val uncontended_time : t -> bytes:int -> float

@@ -80,8 +80,8 @@ let instrument_engine ?(prefix = "sim.engine") registry engine =
 
 let instrument_par_engine ?(prefix = "par") registry par =
   (* Protocol health of a partitioned run: how far shard clocks spread
-     within the conservative windows, how often workers park, and the
-     lookahead that bounds both. Gauges read through [stats], so they
+     within a quantum window, how often workers park, and how many
+     rounds and barriers it took. Gauges read through [stats], so they
      stay live across successive [Par_engine.run] calls. *)
   let stat read = fun () -> read (Simkit.Par_engine.stats par) in
   Registry.gauge registry (prefix ^ ".shards")
@@ -90,13 +90,7 @@ let instrument_par_engine ?(prefix = "par") registry par =
     (stat (fun s -> s.Simkit.Par_engine.par_max_skew_s));
   Registry.gauge registry (prefix ^ ".barrier_waits")
     (stat (fun s -> float_of_int s.Simkit.Par_engine.par_barrier_waits));
-  Registry.gauge registry (prefix ^ ".lookahead_s")
-    (stat (fun s ->
-         let la = s.Simkit.Par_engine.par_min_lookahead_s in
-         if Float.is_finite la then la else 0.0));
   Registry.gauge registry (prefix ^ ".rounds")
     (stat (fun s -> float_of_int s.Simkit.Par_engine.par_rounds));
   Registry.gauge registry (prefix ^ ".quantum_ticks")
-    (stat (fun s -> float_of_int s.Simkit.Par_engine.par_quantum_ticks));
-  Registry.gauge registry (prefix ^ ".messages")
-    (stat (fun s -> float_of_int s.Simkit.Par_engine.par_messages))
+    (stat (fun s -> float_of_int s.Simkit.Par_engine.par_quantum_ticks))

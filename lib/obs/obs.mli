@@ -62,9 +62,7 @@ val instrument_engine : ?prefix:string -> Registry.t -> Simkit.Engine.t -> unit
 
 val instrument_par_engine :
   ?prefix:string -> Registry.t -> Simkit.Par_engine.t -> unit
-(** Register pull gauges over a partitioned run's protocol counters
+(** Register pull gauges over a partitioned run's round counters
     under [prefix] (default ["par"]): [shards], [shard_clock_skew_s]
-    (max inter-shard clock spread observed at barriers),
-    [barrier_waits] (worker parks), [lookahead_s] (minimum registered
-    lookahead; 0 when nothing is connected), [rounds], [quantum_ticks]
-    and [messages]. *)
+    (max inter-shard clock spread observed at round ends),
+    [barrier_waits] (worker parks), [rounds] and [quantum_ticks]. *)

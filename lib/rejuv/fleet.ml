@@ -11,7 +11,6 @@ module Config = struct
     blind_dispatch : bool;
     sample_interval_s : float;
     partitions : int;
-    sync_quantum_s : float;
   }
 
   let default = (* simlint: allow D011 immutable template; the host config's engine/plan slots are None *)
@@ -25,9 +24,13 @@ module Config = struct
       blind_dispatch = false;
       sample_interval_s = 5.0;
       partitions = 1;
-      sync_quantum_s = 2.0;
     }
 end
+
+(* Control-plane barrier period, simulated seconds: admission checks,
+   deferral retries, wave starts and capacity sampling all happen on
+   this grid. *)
+let sync_quantum_s = 2.0
 
 (* One fleet host. The cell is the only state shared across the shard
    boundary, and the protocol keeps it race-free by phase: [up], [busy]
@@ -72,8 +75,6 @@ let create (cfg : Config.t) =
   if cfg.Config.hosts <= 0 then invalid_arg "Fleet.create: hosts <= 0";
   if cfg.Config.partitions <= 0 then
     invalid_arg "Fleet.create: partitions <= 0";
-  if cfg.Config.sync_quantum_s <= 0.0 then
-    invalid_arg "Fleet.create: sync_quantum_s <= 0";
   let shards = min cfg.Config.partitions cfg.Config.hosts in
   (* Hosts share no mutable simulation state, so any cross-host event
      coupling flows through the coordinator at barrier times — that,
@@ -82,7 +83,7 @@ let create (cfg : Config.t) =
      for every partition count. *)
   let par =
     Simkit.Par_engine.create ~seed:cfg.Config.host.Scenario.Config.seed
-      ~quantum:cfg.Config.sync_quantum_s ~shards ()
+      ~quantum:sync_quantum_s ~shards ()
   in
   let members =
     Array.init cfg.Config.hosts (fun i ->

@@ -10,16 +10,17 @@
 
     {b Partitioned time.} Host stacks share no mutable simulation
     state, so the fleet can spread them over
-    [Config.partitions] shards of a [Simkit.Par_engine] (host [i] on
-    shard [i mod partitions]; the spare pinned to shard 0) and run them
-    on as many domains. All cross-host coupling — SLO admission,
+    [Config.partitions] shards of a quantum-synchronous
+    [Simkit.Par_engine] (host [i] on shard [i mod partitions]; the
+    spare pinned to shard 0) and run them on as many domains. Shards
+    exchange no events: all cross-host coupling — SLO admission,
     redirect freshness, task launches, capacity sampling — happens on
-    the coordinator at the fixed [sync_quantum_s] barrier grid, and
-    per-host load streams are seeded from (fleet seed, host index):
-    together these make a seeded run {e byte-identical for every
-    partition count}, 1 included (which runs the same barrier loop
-    inline). Migrate waves funnel through the shared spare, so they
-    require [partitions = 1].
+    the coordinator at a fixed 2-s barrier grid, and per-host load
+    streams are seeded from (fleet seed, host index): together these
+    make a seeded run {e byte-identical for every partition count}, 1
+    included (which runs the same barrier loop inline). Migrate waves
+    funnel through the shared spare, so they require
+    [partitions = 1].
 
     The SLO guard is enforced twice. Statically, {!Wave.plan} caps the
     wave width at the capacity slack above the SLO floor. Dynamically,
@@ -64,10 +65,6 @@ module Config : sig
     partitions : int;
         (** shards the host stacks are spread over (clamped to the
             fleet size); default 1 — the classic single-domain run *)
-    sync_quantum_s : float;
-        (** control-plane barrier period: admission checks, deferral
-            retries and wave starts all happen on this grid; default
-            2 s (the old admission retry period) *)
   }
 
   val default : t
@@ -79,7 +76,7 @@ val create : Config.t -> t
 (** Build the fleet (and its spare host) on a partitioned engine seeded
     from [host.seed], and register the fleet and [par.*] shard gauges
     into the ambient [Obs] registry. Raises [Invalid_argument] on a
-    non-positive fleet size, partition count or quantum. *)
+    non-positive fleet size or partition count. *)
 
 val config : t -> Config.t
 

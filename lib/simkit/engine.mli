@@ -9,10 +9,9 @@
     it executes on.
 
     An engine is also the unit of {e partitioned} time: {!Par_engine}
-    steps several of them (one per OCaml domain) under a conservative
-    lookahead protocol, using {!next_event_time} and {!run_before} as
-    its window primitives. The classic single-threaded simulation is
-    the 1-shard case — see {!module-Shard} below. *)
+    steps several of them (one per OCaml domain) in quantum-synchronous
+    rounds, using {!next_event_time} and {!run_before} as its window
+    primitives. *)
 
 type t
 
@@ -120,35 +119,11 @@ val run : ?until:float -> t -> unit
 val next_event_time : t -> float option
 (** Time of the next event that will actually fire (cancelled entries
     at the head are discarded on the way), or [None] on an empty queue.
-    This is the engine's contribution to a conservative
-    lower-bound-on-timestamp computation. *)
+    {!Par_engine} reads it to decide when every shard has drained up to
+    a quantum barrier. *)
 
 val run_before : t -> bound:float -> unit
 (** Execute every event with time {e strictly below} [bound] and stop,
     leaving the clock at the last executed event (not at [bound] — a
     coordinator may still inject events at or after [bound]). The
     one-window primitive {!Par_engine} hands each shard per round. *)
-
-(** The per-partition view of the engine: {!Par_engine} owns an array
-    of shards, one per domain, and drives each through
-    {!next_event_time}/{!run_before} windows. The top-level API of this
-    module {e is} the 1-shard case — [Shard.t] and [Engine.t] are the
-    same type, so existing single-engine code needs no changes. *)
-module Shard : sig
-  type nonrec t = t
-
-  val now : t -> float
-  val pending : t -> int
-  val events_processed : t -> int
-  val schedule_at : t -> time:float -> (unit -> unit) -> handle
-  val schedule : t -> delay:float -> (unit -> unit) -> handle
-  val cancel : t -> handle -> unit
-  val step : t -> bool
-  val run : ?until:float -> t -> unit
-
-  val next_event_time : t -> float option
-  (** See {!Engine.next_event_time}. *)
-
-  val run_before : t -> bound:float -> unit
-  (** See {!Engine.run_before}. *)
-end

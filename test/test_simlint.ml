@@ -162,22 +162,6 @@ let test_d010_captures () =
     [ ("D010", 6, 10); ("D010", 40, 10) ]
     (summarize_deep (deep_analyze [ "lfx_races" ]))
 
-let test_d010_par_send () =
-  (* Par_engine.send is a registered domain boundary: its event runs on
-     the destination shard's worker. The captured Hashtbl fires; the
-     Atomic and fresh-alloc closures, and the Guarded coordinator
-     handle itself, do not. *)
-  let findings = deep_analyze [ "lfx_par" ] in
-  Alcotest.(check (list (triple string int int)))
-    "only the unsynchronized cross-shard capture flagged"
-    [ ("D010", 15, 2) ]
-    (summarize_deep findings);
-  let f = List.hd findings in
-  check_true "finding names the send boundary"
-    (Simlint.Allow.contains ~sub:"Simkit.Par_engine.send" f.df.message);
-  check_true "finding names the capture"
-    (Simlint.Allow.contains ~sub:"tbl" f.df.message)
-
 let test_d011_globals () =
   (* Hashtbl, ref, DLS key and Atomic globals fire; immutable values
      and functions do not. *)
@@ -291,8 +275,6 @@ let suite =
         test_d009_taint_chain;
       Alcotest.test_case "D010 domain-boundary captures" `Quick
         test_d010_captures;
-      Alcotest.test_case "D010 cross-shard send captures" `Quick
-        test_d010_par_send;
       Alcotest.test_case "D011 toplevel mutable globals" `Quick
         test_d011_globals;
       Alcotest.test_case "SARIF output" `Quick test_sarif_output;

@@ -38,8 +38,8 @@ let entries =
       rule = "D004";
       prefix = "lib/simkit/par_engine.ml";
       reason =
-        "the conservative coordinator is the sanctioned shard-worker \
-         spawner; its barrier protocol is what keeps every other module \
+        "the quantum-synchronous executor is the sanctioned shard-worker \
+         spawner; its round barrier is what keeps every other module \
          domain-free";
     };
     {

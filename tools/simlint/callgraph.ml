@@ -233,13 +233,9 @@ let distill ~units raw =
   (* Pass C: domain-boundary closure sites. A "boundary" is a literal
      argument position whose value will run on (or be shared with)
      another domain: closures handed to Domain.spawn or
-     Runner.Pool.parallel_map, the [run] field of a Runner.Sweep.task
-     record (the pool's task submission format), and events handed to
-     Simkit.Par_engine.send — a cross-shard send executes its closure
-     on the destination shard's worker domain. *)
-  let spawn_fns =
-    [ "Domain.spawn"; "Runner.Pool.parallel_map"; "Simkit.Par_engine.send" ]
-  in
+     Runner.Pool.parallel_map, and the [run] field of a
+     Runner.Sweep.task record (the pool's task submission format). *)
+  let spawn_fns = [ "Domain.spawn"; "Runner.Pool.parallel_map" ] in
   let is_task_type ty =
     match Types.get_desc ty with
     | Types.Tconstr (p, _, _) -> String.equal (canon_of_path p) "Runner.Sweep.task"

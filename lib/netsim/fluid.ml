@@ -294,14 +294,18 @@ type t = {
   f_engine : Simkit.Engine.t;
 }
 
-let create engine ?(name = "traffic") ~config:cfg ~request ~server () =
-  if cfg.clients <= 0 then invalid_arg "Fluid.create: clients <= 0";
-  if cfg.epoch_s <= 0.0 then invalid_arg "Fluid.create: epoch_s <= 0";
-  if cfg.retry_backoff_s <= 0.0 then
-    invalid_arg "Fluid.create: retry_backoff_s <= 0";
-  if cfg.think_time_s < 0.0 then invalid_arg "Fluid.create: think_time_s < 0";
+(* The negated comparisons reject NaN too. *)
+let validate_config cfg =
+  let bad msg = invalid_arg ("Fluid.validate_config: " ^ msg) in
+  if cfg.clients <= 0 then bad "clients <= 0";
+  if not (cfg.epoch_s > 0.0) then bad "epoch_s <= 0";
+  if not (cfg.retry_backoff_s > 0.0) then bad "retry_backoff_s <= 0";
+  if not (cfg.think_time_s >= 0.0) then bad "think_time_s < 0";
   if cfg.mode = Hybrid && (cfg.tracers <= 0 || cfg.tracers > cfg.clients) then
-    invalid_arg "Fluid.create: hybrid tracers outside 1..clients";
+    bad "hybrid tracers outside 1..clients"
+
+let create engine ?(name = "traffic") ~config:cfg ~request ~server () =
+  validate_config cfg;
   let tracer ~connections =
     Httperf.create engine ~name ~connections
       ~retry_backoff_s:cfg.retry_backoff_s ~request ()
@@ -554,40 +558,52 @@ let observe ?(prefix = "netsim.traffic") reg t =
   Obs.Registry.gauge reg (p ^ ".tracer_requests") (fun () ->
       float_of_int (tracer_requests t))
 
-(* --- open-loop dispatcher stream ----------------------------------------- *)
+(* --- open-loop dispatcher streams ---------------------------------------- *)
 
+(* Every stream shares one engine and one epoch grid, so a single
+   self-rescheduling tick advances them all, in index order. Each
+   stream keeps its own float integrals, and the totals sum their
+   rounded values, so n one-stream values and one n-stream value
+   report the same counts. *)
 module Open = struct
   type t = {
     o_engine : Simkit.Engine.t;
-    o_rate : float;
+    o_rates : float array;
     o_epoch : float;
-    o_served : unit -> float;
+    o_served : int -> float;
+    o_offered : float array;
+    o_lost : float array;
     mutable o_running : bool;
     mutable o_tick : Simkit.Engine.handle option;
-    mutable o_offered : float;
-    mutable o_lost : float;
   }
 
-  let create engine ~rate_per_s ?(epoch_s = 0.1) ~served_fraction () =
-    if rate_per_s < 0.0 then invalid_arg "Fluid.Open.create: negative rate";
-    if epoch_s <= 0.0 then invalid_arg "Fluid.Open.create: epoch_s <= 0";
+  let create engine ~rates_per_s ?(epoch_s = 0.1) ~served_fraction () =
+    if Array.exists (fun r -> not (r >= 0.0)) rates_per_s then
+      invalid_arg "Fluid.Open.create: negative or NaN rate";
+    if not (epoch_s > 0.0) then invalid_arg "Fluid.Open.create: epoch_s <= 0";
+    let n = Array.length rates_per_s in
     {
       o_engine = engine;
-      o_rate = rate_per_s;
+      o_rates = Array.copy rates_per_s;
       o_epoch = epoch_s;
       o_served = served_fraction;
+      o_offered = Array.make n 0.0;
+      o_lost = Array.make n 0.0;
       o_running = false;
       o_tick = None;
-      o_offered = 0.0;
-      o_lost = 0.0;
     }
 
   let rec tick t =
     if t.o_running then begin
-      let served = Float.min 1.0 (Float.max 0.0 (t.o_served ())) in
-      let slice = t.o_rate *. t.o_epoch in
-      t.o_offered <- t.o_offered +. slice;
-      t.o_lost <- t.o_lost +. (slice *. (1.0 -. served));
+      for i = 0 to Array.length t.o_rates - 1 do
+        let rate = t.o_rates.(i) in
+        if rate > 0.0 then begin
+          let served = Float.min 1.0 (Float.max 0.0 (t.o_served i)) in
+          let slice = rate *. t.o_epoch in
+          t.o_offered.(i) <- t.o_offered.(i) +. slice;
+          t.o_lost.(i) <- t.o_lost.(i) +. (slice *. (1.0 -. served))
+        end
+      done;
       t.o_tick <-
         Some
           (Simkit.Engine.schedule t.o_engine ~delay:t.o_epoch (fun () ->
@@ -595,7 +611,7 @@ module Open = struct
     end
 
   let start t =
-    if (not t.o_running) && t.o_rate > 0.0 then begin
+    if (not t.o_running) && Array.exists (fun r -> r > 0.0) t.o_rates then begin
       t.o_running <- true;
       t.o_tick <-
         Some
@@ -612,9 +628,13 @@ module Open = struct
       t.o_tick <- None
     end
 
-  let offered t = int_of_float (Float.round t.o_offered)
-  let lost t = int_of_float (Float.round t.o_lost)
+  let sum_rounded xs =
+    Array.fold_left (fun n x -> n + int_of_float (Float.round x)) 0 xs
+
+  let offered t = sum_rounded t.o_offered
+  let lost t = sum_rounded t.o_lost
 
   let loss_ratio t =
-    if t.o_offered <= 0.0 then 0.0 else t.o_lost /. t.o_offered
+    let o = offered t in
+    if o = 0 then 0.0 else float_of_int (lost t) /. float_of_int o
 end

@@ -81,6 +81,12 @@ val config_label : config -> string
 (** Compact ["mode=hybrid clients=1000000 tracers=8"]-style tag for
     experiment params and cache keys. *)
 
+val validate_config : config -> unit
+(** Raises [Invalid_argument] on a non-positive [clients]/[epoch_s]/
+    [retry_backoff_s], a negative [think_time_s], a NaN float, or a
+    {!Hybrid} tracer count outside [1..clients]. {!create} and
+    [Rejuv.Fleet.create] both check their traffic config with it. *)
+
 type t
 
 val create :
@@ -94,9 +100,7 @@ val create :
 (** [request] drives the per-request path ({!Per_request} fully, the
     tracer cohort in {!Hybrid}; unused by {!Fluid}); [server] drives
     the fluid path (unused by {!Per_request}). Raises
-    [Invalid_argument] on a non-positive [clients]/[epoch_s]/
-    [retry_backoff_s], a negative [think_time_s], or a {!Hybrid}
-    tracer count outside [1..clients]. *)
+    [Invalid_argument] on a config {!validate_config} rejects. *)
 
 val start : t -> unit
 val stop : t -> unit
@@ -175,35 +179,46 @@ val observe : ?prefix:string -> Obs.Registry.t -> t -> unit
     prefix ["netsim.traffic"]): [flows], [offered_rps], [backlog] and
     [tracer_requests]. All readers are draw-free. *)
 
-(** Open-loop fluid arrival stream for dispatchers: a constant offered
-    rate split across servers by a served-fraction closure, integrated
-    at epochs. {!Cluster_sim} and [Rejuv.Fleet] use this in place of
-    per-request Poisson routing when traffic mode is not
-    {!Per_request} — no RNG, so partition-invariant by
-    construction. *)
+(** Open-loop fluid arrival streams for dispatchers: each stream is a
+    constant offered rate split across servers by a served-fraction
+    closure, integrated at epochs. {!Cluster_sim} and [Rejuv.Fleet] use
+    this in place of per-request Poisson routing when traffic mode is
+    not {!Per_request} — no RNG, so partition-invariant by
+    construction. One value carries any number of streams on one
+    engine and advances them all with one event per epoch (the fleet
+    keeps one value per shard, one stream per host). *)
 module Open : sig
   type t
 
   val create :
     Simkit.Engine.t ->
-    rate_per_s:float ->
+    rates_per_s:float array ->
     ?epoch_s:float ->
-    served_fraction:(unit -> float) ->
+    served_fraction:(int -> float) ->
     unit ->
     t
-  (** [served_fraction ()] is the instantaneous fraction of offered
-      load that reaches a healthy server, clamped to [0..1] (e.g.
-      healthy hosts / total hosts for the paper's blind balancer).
-      [epoch_s] defaults to 0.1 s. Raises [Invalid_argument] on a
-      negative rate or non-positive epoch. *)
+  (** Stream [i] offers [rates_per_s.(i)] requests/s. At each epoch
+      tick, [served_fraction i] is the instantaneous fraction of stream
+      [i]'s load that reaches a healthy server, clamped to [0..1] (e.g.
+      healthy hosts / total hosts for the paper's blind balancer). The
+      tick reads the positive-rate streams in index order and never
+      calls [served_fraction] for a zero-rate one. [epoch_s] defaults
+      to 0.1 s. Raises [Invalid_argument] on a negative or NaN rate or
+      a non-positive epoch. *)
 
   val start : t -> unit
+  (** Schedules the first tick one epoch from now; a no-op when no
+      stream has a positive rate. *)
+
   val stop : t -> unit
 
   val offered : t -> int
-  (** Requests offered so far (rounded fluid integral). *)
+  (** Requests offered so far: the sum over streams of each stream's
+      rounded fluid integral. *)
 
   val lost : t -> int
+  (** Requests lost so far, summed like {!offered}. *)
+
   val loss_ratio : t -> float
   (** [lost / offered]; 0 before anything was offered. *)
 end

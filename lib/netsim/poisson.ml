@@ -11,7 +11,7 @@ type t = {
 }
 
 let create engine ?(name = "poisson") ~rate_per_s ~rng ~request () =
-  if rate_per_s <= 0.0 then invalid_arg "Poisson.create: rate <= 0";
+  if not (rate_per_s > 0.0) then invalid_arg "Poisson.create: rate <= 0 or NaN";
   {
     engine;
     gen_name = name;

@@ -18,7 +18,9 @@ val create :
   request:((bool -> unit) -> unit) ->
   unit ->
   t
-(** [request k] must call [k success] when the attempt resolves. *)
+(** [request k] must call [k success] when the attempt resolves.
+    Raises [Invalid_argument] unless [rate_per_s > 0] (a NaN rate
+    included). *)
 
 val name : t -> string
 val start : t -> unit

@@ -113,14 +113,14 @@ let offer_load t ~rate_per_s =
    dispatcher steers whole flow shares away from the down host and only
    loses load when no host is healthy at all. *)
 let offer_flows t ~rate_per_s =
-  let served_fraction () =
+  let served_fraction _ =
     let h = healthy_hosts t in
     if t.blind_dispatch then float_of_int h /. float_of_int (host_count t)
     else if h > 0 then 1.0
     else 0.0
   in
   let gen =
-    Netsim.Fluid.Open.create t.eng ~rate_per_s
+    Netsim.Fluid.Open.create t.eng ~rates_per_s:[| rate_per_s |]
       ~epoch_s:t.traffic.Netsim.Fluid.epoch_s ~served_fraction ()
   in
   Netsim.Fluid.Open.start gen;

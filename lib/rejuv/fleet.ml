@@ -75,6 +75,8 @@ let create (cfg : Config.t) =
   if cfg.Config.hosts <= 0 then invalid_arg "Fleet.create: hosts <= 0";
   if cfg.Config.partitions <= 0 then
     invalid_arg "Fleet.create: partitions <= 0";
+  (* [run] derives its stream rates from the traffic config. *)
+  Netsim.Fluid.validate_config cfg.Config.host.Scenario.Config.traffic;
   let shards = min cfg.Config.partitions cfg.Config.hosts in
   (* Hosts share no mutable simulation state, so any cross-host event
      coupling flows through the coordinator at barrier times — that,
@@ -282,18 +284,18 @@ let run t ~strategy =
   (* Open-loop load, one generator per host so every arrival is shard-
      local. Streams are seeded from (fleet seed, host index): stable
      across partition counts, unlike anything split from a shard
-     engine's root stream. A request succeeds on a healthy host, or —
-     unless dispatch is blind — when the balancer could have sent it to
-     some other host that was healthy as of the last barrier. *)
+     engine's root stream. *)
   let rate = cfg.Config.load_rate_per_s /. float_of_int cfg.Config.hosts in
   (* Traffic-mode split. [Per_request] keeps the historical Poisson
      streams event-for-event ([rate *. 1.0] is exact). [Fluid]/[Hybrid]
      carry the bulk as one epoch-integrated flow stream per host — no
-     RNG and O(epochs) events however many clients are modeled, which
-     is what lets a host carry 1M+ flows. When the template models an
+     RNG and O(shards × epochs) events however many clients are
+     modeled, which is what lets a host carry 1M+ flows. When the template models an
      explicit client population with a positive think time, each of
      the [clients] closed-loop flows offers ~1/think requests/s;
-     otherwise the fleet's [load_rate_per_s] knob is split as before. *)
+     otherwise the fleet's [load_rate_per_s] knob is split as before.
+     [create] validated the traffic config, so the split is finite and
+     in [0, 1]. *)
   let traffic = cfg.Config.host.Scenario.Config.traffic in
   let tracer_fraction =
     match traffic.Netsim.Fluid.mode with
@@ -310,48 +312,56 @@ let run t ~strategy =
       /. traffic.Netsim.Fluid.think_time_s
     else rate
   in
-  let host_served c () =
-    if host_healthy c || ((not cfg.Config.blind_dispatch) && c.redirect_ok)
-    then 1.0
-    else 0.0
+  (* A request succeeds on a healthy host, or — unless dispatch is
+     blind — when the balancer could have sent it to some other host
+     that was healthy as of the last barrier. The barrier-published
+     [redirect_ok] goes first: it settles most reads without walking
+     the host's VMs and services, and both tests are pure, so the
+     order cannot change the answer. *)
+  let served c =
+    ((not cfg.Config.blind_dispatch) && c.redirect_ok) || host_healthy c
   in
   let gens =
-    Array.map
-      (fun c ->
-        if tracer_fraction <= 0.0 then None
-        else
-          Some
-            (Netsim.Poisson.create
-               (Scenario.engine c.node)
-               ~name:(Printf.sprintf "fleet-load-%d" (c.idx + 1))
-               ~rate_per_s:(host_rate *. tracer_fraction)
-               ~rng:
-                 (Simkit.Rng.create
-                    ((cfg.Config.host.Scenario.Config.seed * 1_000_003)
-                    + c.idx + 1))
-               ~request:(fun k ->
-                 k
-                   (host_healthy c
-                   || ((not cfg.Config.blind_dispatch) && c.redirect_ok)))
-               ()))
-      t.members
+    if tracer_fraction <= 0.0 then [||]
+    else
+      Array.map
+        (fun c ->
+          Netsim.Poisson.create
+            (Scenario.engine c.node)
+            ~name:(Printf.sprintf "fleet-load-%d" (c.idx + 1))
+            ~rate_per_s:(host_rate *. tracer_fraction)
+            ~rng:
+              (Simkit.Rng.create
+                 ((cfg.Config.host.Scenario.Config.seed * 1_000_003)
+                 + c.idx + 1))
+            ~request:(fun k -> k (served c))
+            ())
+        t.members
   in
+  (* One flow value per shard, one stream per host in host-index order.
+     A shard's hosts share its clock and epoch grid, so one event per
+     shard per epoch advances all their streams, and it makes the same
+     reads in the same order as one tick event per host would
+     (doc/traffic.md, Determinism). *)
   let flow_gens =
-    Array.map
-      (fun c ->
-        if tracer_fraction >= 1.0 then None
-        else
-          Some
-            (Netsim.Fluid.Open.create
-               (Scenario.engine c.node)
-               ~rate_per_s:(host_rate *. (1.0 -. tracer_fraction))
-               ~epoch_s:traffic.Netsim.Fluid.epoch_s
-               ~served_fraction:(host_served c)
-               ()))
-      t.members
+    if tracer_fraction >= 1.0 then [||]
+    else
+      Array.init (Simkit.Par_engine.shards t.par) (fun s ->
+          let cells =
+            Array.of_list
+              (List.filter (fun c -> c.shard = s) (Array.to_list t.members))
+          in
+          Netsim.Fluid.Open.create
+            (Simkit.Par_engine.shard t.par s)
+            ~rates_per_s:
+              (Array.make (Array.length cells)
+                 (host_rate *. (1.0 -. tracer_fraction)))
+            ~epoch_s:traffic.Netsim.Fluid.epoch_s
+            ~served_fraction:(fun j -> if served cells.(j) then 1.0 else 0.0)
+            ())
   in
-  Array.iter (Option.iter Netsim.Poisson.start) gens;
-  Array.iter (Option.iter Netsim.Fluid.Open.start) flow_gens;
+  Array.iter Netsim.Poisson.start gens;
+  Array.iter Netsim.Fluid.Open.start flow_gens;
   let t0 = Simkit.Par_engine.last_quantum t.par in
   let min_healthy = ref (healthy_hosts t) in
   let healthy_sum = ref 0.0 in
@@ -512,17 +522,13 @@ let run t ~strategy =
   (* Let probes and in-flight requests settle, then stop the plumbing. *)
   let settled = !end_q +. 5.0 in
   Simkit.Par_engine.run t.par ~until:settled;
-  Array.iter (Option.iter Netsim.Poisson.stop) gens;
-  Array.iter (Option.iter Netsim.Fluid.Open.stop) flow_gens;
+  Array.iter Netsim.Poisson.stop gens;
+  Array.iter Netsim.Fluid.Open.stop flow_gens;
   let mean_healthy =
     if !healthy_n = 0 then float_of_int (healthy_hosts t)
     else !healthy_sum /. float_of_int !healthy_n
   in
-  let sum_over arr f =
-    Array.fold_left
-      (fun n g -> n + Option.fold ~none:0 ~some:f g)
-      0 arr
-  in
+  let sum_over arr f = Array.fold_left (fun n g -> n + f g) 0 arr in
   let offered =
     sum_over gens Netsim.Poisson.offered
     + sum_over flow_gens Netsim.Fluid.Open.offered

@@ -50,12 +50,16 @@ module Config : sig
         (** client stream offered across the fleet; default 200 req/s.
             With [host.traffic] mode [Per_request] this is the
             historical per-host Poisson split. [Fluid]/[Hybrid] carry
-            the bulk as one epoch-integrated flow stream per host
-            ({!Netsim.Fluid.Open}) — O(epochs) events and no RNG, so a
-            host can model 1M+ flows; when [host.traffic] has a
+            the bulk as epoch-integrated flow streams, one per host,
+            held in one {!Netsim.Fluid.Open} value per shard: one
+            engine event per shard per epoch advances all of a
+            shard's streams, and no RNG is drawn, so a host can model
+            1M+ flows. The engine event count therefore scales with
+            shards × epochs and differs across partition counts,
+            while the report does not. When [host.traffic] has a
             positive think time the per-host rate becomes
             [clients / think_time_s] (each closed-loop flow offers
-            ~1/think req/s), otherwise this knob split as before.
+            ~1/think req/s), otherwise this knob is split as before.
             [Hybrid] additionally keeps a tracer-sized Poisson cohort
             per-request, seeded exactly like the per-request
             streams. *)
@@ -76,7 +80,8 @@ val create : Config.t -> t
 (** Build the fleet (and its spare host) on a partitioned engine seeded
     from [host.seed], and register the fleet and [par.*] shard gauges
     into the ambient [Obs] registry. Raises [Invalid_argument] on a
-    non-positive fleet size or partition count. *)
+    non-positive fleet size or partition count, or on a [host.traffic]
+    that {!Netsim.Fluid.validate_config} rejects. *)
 
 val config : t -> Config.t
 

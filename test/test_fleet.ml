@@ -91,6 +91,32 @@ let qcheck_slo_guard =
         let r = Fleet.run f ~strategy:(Wave.Reboot Strategy.Warm) in
         r.Fleet.min_healthy >= r.Fleet.slo_floor)
 
+(* [Fleet.run] derives its stream rates from the host traffic config,
+   so a config that would make them NaN, negative or larger than the
+   population's must be refused when the fleet is built. *)
+let test_create_rejects_bad_traffic () =
+  let module Fluid = Netsim.Fluid in
+  let rejects name traffic =
+    match
+      Fleet.create
+        {
+          Fleet.Config.default with
+          hosts = 2;
+          host = { Rejuv.Scenario.Config.default with traffic };
+        }
+    with
+    | _ -> Alcotest.fail (name ^ " accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  let hybrid = { Fluid.default_config with Fluid.mode = Fluid.Hybrid } in
+  let fluid = { Fluid.default_config with Fluid.mode = Fluid.Fluid } in
+  rejects "hybrid, no clients"
+    { hybrid with Fluid.clients = 0; think_time_s = 60.0 };
+  rejects "hybrid, more tracers than clients"
+    { hybrid with Fluid.clients = 2; tracers = 4 };
+  rejects "negative think time" { fluid with Fluid.think_time_s = -1.0 };
+  rejects "zero epoch" { fluid with Fluid.epoch_s = 0.0 }
+
 (* --- determinism --------------------------------------------------------- *)
 
 let fleet_json () =
@@ -119,5 +145,7 @@ let suite =
       Alcotest.test_case "migrate waves keep capacity" `Slow
         test_migrate_waves_lose_no_capacity_headroom;
       qcheck_slo_guard;
+      Alcotest.test_case "create rejects bad traffic" `Quick
+        test_create_rejects_bad_traffic;
       Alcotest.test_case "same seed, same JSON" `Slow test_same_seed_same_json;
     ] )

@@ -275,8 +275,8 @@ let test_open_stream_loss_accounting () =
   let e = Engine.create () in
   let served = ref 1.0 in
   let s =
-    Fluid.Open.create e ~rate_per_s:100.0 ~served_fraction:(fun () -> !served)
-      ()
+    Fluid.Open.create e ~rates_per_s:[| 100.0 |]
+      ~served_fraction:(fun _ -> !served) ()
   in
   Fluid.Open.start s;
   ignore (Engine.schedule e ~delay:10.0 (fun () -> served := 0.0));
@@ -285,9 +285,92 @@ let test_open_stream_loss_accounting () =
   check_int "offered = rate x horizon" 2000 (Fluid.Open.offered s);
   check_int "lost only while unserved" 1000 (Fluid.Open.lost s);
   check_float ~eps:1e-9 "loss ratio" 0.5 (Fluid.Open.loss_ratio s);
-  match Fluid.Open.create e ~rate_per_s:(-1.0) ~served_fraction:(fun () -> 1.0) () with
-  | _ -> Alcotest.fail "negative rate accepted"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun rate ->
+      match
+        Fluid.Open.create e ~rates_per_s:[| 1.0; rate |]
+          ~served_fraction:(fun _ -> 1.0)
+          ()
+      with
+      | _ -> Alcotest.failf "rate %g accepted" rate
+      | exception Invalid_argument _ -> ())
+    [ -1.0; Float.nan ]
+
+(* One n-stream value must report what n one-stream values report, on
+   one engine event per epoch. The served fractions change between
+   ticks and at a tick's own timestamp, once ordered before that tick
+   and once after it, so a batch that read any stream at another point
+   in the event order would drift. *)
+let test_open_streams_batch_per_epoch () =
+  let rates = [| 100.0; 40.0; 0.0 |] and epochs = 100 in
+  (* Tick k fires k accumulated epochs after the start, as the engine
+     adds them. *)
+  let tick_time k =
+    let t = ref 0.0 in
+    for _ = 1 to k do t := !t +. 0.1 done;
+    !t
+  in
+  let run make =
+    let e = Engine.create () in
+    let served = [| 1.0; 1.0; 1.0 |] and reads = Array.make 3 0 in
+    let read i =
+      reads.(i) <- reads.(i) + 1;
+      served.(i)
+    in
+    let streams = make e read in
+    (* Scheduled before the tick it shares a timestamp with: runs first. *)
+    ignore
+      (Engine.schedule_at e ~time:(tick_time 30) (fun () -> served.(1) <- 0.0));
+    List.iter Fluid.Open.start streams;
+    ignore (Engine.schedule e ~delay:1.05 (fun () -> served.(0) <- 0.5));
+    ignore
+      (Engine.schedule e ~delay:5.95 (fun () ->
+           (* Scheduled after tick 60 was: runs after it. *)
+           ignore
+             (Engine.schedule_at e ~time:(tick_time 60) (fun () ->
+                  served.(0) <- 0.0;
+                  served.(1) <- 0.25;
+                  served.(2) <- 0.0))));
+    ignore
+      (Engine.schedule_at e
+         ~time:(tick_time epochs +. 0.05)
+         (fun () -> List.iter Fluid.Open.stop streams));
+    Engine.run e;
+    (streams, Engine.events_processed e, reads)
+  in
+  let batched, events, reads =
+    run (fun e read ->
+        [ Fluid.Open.create e ~rates_per_s:rates ~served_fraction:read () ])
+  in
+  let separate, _, separate_reads =
+    run (fun e read ->
+        List.init 3 (fun i ->
+            Fluid.Open.create e ~rates_per_s:[| rates.(i) |]
+              ~served_fraction:(fun _ -> read i)
+              ()))
+  in
+  let sum f streams = List.fold_left (fun n s -> n + f s) 0 streams in
+  let offered = sum Fluid.Open.offered batched
+  and lost = sum Fluid.Open.lost batched in
+  check_int "offered: one value = three" (sum Fluid.Open.offered separate)
+    offered;
+  check_int "lost: one value = three" (sum Fluid.Open.lost separate) lost;
+  Alcotest.(check (float 0.0))
+    "loss ratio: one value = three"
+    (float_of_int (sum Fluid.Open.lost separate)
+    /. float_of_int (sum Fluid.Open.offered separate))
+    (Fluid.Open.loss_ratio (List.hd batched));
+  check_int "offered = rates x horizon" 1400 offered;
+  (* Stream 0 loses half of ticks 11..60 and all of 61..100; stream 1
+     all of ticks 30..60 and three quarters of 61..100. *)
+  check_int "lost follows the event order" (250 + 400 + 124 + 120) lost;
+  (* Five control events: three served changes, the one that schedules
+     the tick-60 change, and the stop. *)
+  check_int "one tick event per epoch" (epochs + 5) events;
+  Alcotest.(check (array int))
+    "each positive-rate stream read once per epoch, the idle one never"
+    [| epochs; epochs; 0 |] reads;
+  Alcotest.(check (array int)) "same reads either way" reads separate_reads
 
 (* --- validation ----------------------------------------------------------- *)
 
@@ -398,6 +481,75 @@ let test_fleet_traffic_golden_partitions () =
             [ Fluid.Fluid; Fluid.Hybrid ]))
     [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
 
+(* With blind dispatch a rejuvenating host loses its whole share, so
+   here the served fraction decides [lost]. The goldens pin the full
+   report, not just partition agreement: a change that moved every
+   partition count alike would still fail. *)
+let blind_fleet_golden ~offered ~lost ~loss_ratio =
+  let wave i start =
+    Printf.sprintf
+      {|{"index":%d,"hosts":[%s],"started_at_s":%d,"makespan_s":57.4479061529,"deferred":0}|}
+      i
+      (String.concat "," (List.init 8 (fun k -> string_of_int ((8 * i) + k))))
+      start
+  in
+  Printf.sprintf
+    {|{"kind":"fleet","data":[{"strategy":"warm","hosts":40,"wave_width":8,"slo":0.7,"slo_floor":28,"waves":[%s],|}
+    (String.concat "," (List.mapi wave [ 100; 168; 236; 304; 372 ]))
+  ^ Printf.sprintf
+      {|"makespan_s":337,"offered":%d,"lost":%d,"loss_ratio":%s,|}
+      offered lost loss_ratio
+  ^ {|"min_healthy":32,"mean_healthy":34.9850746269,"slo_met":true,"skipped":[]}]}|}
+
+let test_fleet_blind_dispatch_golden () =
+  let cell ~mode ~partitions =
+    let f =
+      Rejuv.Fleet.create
+        {
+          Rejuv.Fleet.Config.default with
+          hosts = 40;
+          wave_width = 8;
+          slo = 0.7;
+          load_rate_per_s = 200.0;
+          blind_dispatch = true;
+          partitions;
+          host =
+            {
+              Rejuv.Scenario.Config.default with
+              seed = 42;
+              traffic = { Fluid.default_config with Fluid.mode };
+            };
+        }
+    in
+    Rejuv.Fleet.start f;
+    Experiment.Result.to_json
+      (Experiment.Result.Fleet
+         [ Rejuv.Fleet.run f ~strategy:(Rejuv.Wave.Reboot Strategy.Warm) ])
+  in
+  List.iter
+    (fun backend ->
+      Simkit.Engine.with_default_queue backend (fun () ->
+          List.iter
+            (fun (mode, golden) ->
+              List.iter
+                (fun partitions ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s/%s: partitions %d"
+                       (Simkit.Eventq.backend_name backend)
+                       (Fluid.mode_name mode) partitions)
+                    golden
+                    (cell ~mode ~partitions))
+                [ 1; 2; 4 ])
+            [
+              ( Fluid.Hybrid,
+                blind_fleet_golden ~offered:67502 ~lost:8588
+                  ~loss_ratio:"0.127225859975" );
+              ( Fluid.Fluid,
+                blind_fleet_golden ~offered:67600 ~lost:8640
+                  ~loss_ratio:"0.127810650888" );
+            ]))
+    [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+
 let suite =
   ( "traffic",
     [
@@ -419,6 +571,8 @@ let suite =
         test_modes_agree_small_n;
       Alcotest.test_case "open stream loss accounting" `Quick
         test_open_stream_loss_accounting;
+      Alcotest.test_case "open streams share one tick per epoch" `Quick
+        test_open_streams_batch_per_epoch;
       Alcotest.test_case "create validation" `Quick test_create_validation;
       Alcotest.test_case "traffic gauges registered" `Quick
         test_traffic_gauges;
@@ -426,4 +580,6 @@ let suite =
         test_traffic_cell_golden_backends;
       Alcotest.test_case "fleet traffic golden across partitions" `Slow
         test_fleet_traffic_golden_partitions;
+      Alcotest.test_case "fleet blind-dispatch golden" `Slow
+        test_fleet_blind_dispatch_golden;
     ] )

@@ -57,6 +57,19 @@ let test_poisson_rate () =
   check_int "all succeeded" (Poisson.offered gen) (Poisson.succeeded gen);
   check_float "no loss" 0.0 (Poisson.loss_ratio gen)
 
+let test_poisson_rejects_bad_rates () =
+  let e = Engine.create () in
+  List.iter
+    (fun rate ->
+      match
+        Poisson.create e ~rate_per_s:rate ~rng:(Simkit.Rng.create 1)
+          ~request:(fun k -> k true)
+          ()
+      with
+      | _ -> Alcotest.failf "rate %g accepted" rate
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan ]
+
 let test_poisson_counts_losses_during_outage () =
   let e = Engine.create () in
   let rng = Simkit.Rng.create 11 in
@@ -103,6 +116,8 @@ let suite =
       Alcotest.test_case "sampler mean" `Quick test_sampler_mean;
       Alcotest.test_case "sampler stop" `Quick test_sampler_stop_halts;
       Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
+      Alcotest.test_case "poisson rejects bad rates" `Quick
+        test_poisson_rejects_bad_rates;
       Alcotest.test_case "poisson losses in outage" `Quick
         test_poisson_counts_losses_during_outage;
       Alcotest.test_case "poisson open loop" `Quick

@@ -433,29 +433,25 @@ let cluster () =
   header
     "Figure 9, measured: rolling rejuvenation of 4 simulated hosts (the \
      paper's future work)";
-  pf "4 hosts x 3 VMs, blind round-robin dispatch, open-loop 100 req/s@.";
+  pf "4 hosts x 3 VMs, blind dispatch, open-loop 100 req/s@.";
   let run strategy =
     (* Blind dispatch on purpose: the measured form of the Figure 9
        model sprays requests at the rebooting host to count its drops. *)
-    let c =
-      Rejuv.Cluster_sim.create
-        {
-          Rejuv.Cluster_sim.Config.hosts = 4;
-          host = Rejuv.Scenario.Config.(default |> with_vms 3);
-          blind_dispatch = true;
-        }
+    let fleet =
+      Rejuv.Fleet.create
+        { Rejuv.Fleet.Config.cluster with blind_dispatch = true }
     in
-    Rejuv.Cluster_sim.start c;
-    let r = Rejuv.Cluster_sim.rolling_rejuvenation c ~strategy () in
+    Rejuv.Fleet.start fleet;
+    let r = Rejuv.Fleet.run fleet ~strategy:(Rejuv.Wave.Reboot strategy) in
     pf "%-16s elapsed %6.1f s  per-host outage %s  lost %d/%d (%.1f %%)@."
       (Rejuv.Strategy.name strategy)
-      r.Rejuv.Cluster_sim.total_elapsed_s
+      r.Rejuv.Fleet.makespan_s
       (String.concat "/"
          (List.map
-            (fun o -> Printf.sprintf "%.0fs" o)
-            r.Rejuv.Cluster_sim.per_host_outage_s))
-      r.Rejuv.Cluster_sim.lost r.Rejuv.Cluster_sim.offered
-      (100.0 *. r.Rejuv.Cluster_sim.loss_ratio)
+            (fun w -> Printf.sprintf "%.0fs" w.Rejuv.Fleet.wave_makespan_s)
+            r.Rejuv.Fleet.waves))
+      r.Rejuv.Fleet.lost r.Rejuv.Fleet.offered
+      (100.0 *. r.Rejuv.Fleet.loss_ratio)
   in
   List.iter run Rejuv.Strategy.all;
   pf "the cluster never goes dark; the strategies differ in how many@.";

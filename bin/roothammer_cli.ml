@@ -574,8 +574,9 @@ let blind_dispatch_arg =
     value & flag
     & info [ "blind-dispatch" ]
         ~doc:
-          "Round-robin requests ignoring host health (the paper's \
-           lost-request model) instead of skipping unhealthy hosts")
+          "Offer each host 1/hosts of the load whatever its health, so a \
+           request sent to a down host is lost (the paper's lost-request \
+           model), instead of redirecting it to a healthy host")
 
 let cluster_cmd =
   let hosts_arg =
@@ -583,27 +584,21 @@ let cluster_cmd =
   in
   let run verbose hosts strategy blind_dispatch =
     setup_logs verbose;
-    let c =
-      Rejuv.Cluster_sim.create
-        {
-          Rejuv.Cluster_sim.Config.hosts;
-          host = Rejuv.Scenario.Config.(default |> with_vms 3);
-          blind_dispatch;
-        }
-    in
-    Rejuv.Cluster_sim.start c;
-    pf "%d hosts up; rolling %s under 100 req/s...@." hosts
-      (Rejuv.Strategy.name strategy);
-    let r = Rejuv.Cluster_sim.rolling_rejuvenation c ~strategy () in
-    pf "rolling cycle: %.1f s; per-host %s@."
-      r.Rejuv.Cluster_sim.total_elapsed_s
+    let cfg = { Rejuv.Fleet.Config.cluster with hosts; blind_dispatch } in
+    let fleet = Rejuv.Fleet.create cfg in
+    Rejuv.Fleet.start fleet;
+    pf "%d hosts up; rolling %s under %.0f req/s...@." hosts
+      (Rejuv.Strategy.name strategy)
+      cfg.Rejuv.Fleet.Config.load_rate_per_s;
+    let r = Rejuv.Fleet.run fleet ~strategy:(Rejuv.Wave.Reboot strategy) in
+    pf "rolling cycle: %.1f s; per-host %s@." r.Rejuv.Fleet.makespan_s
       (String.concat " "
          (List.map
-            (fun o -> Printf.sprintf "%.0fs" o)
-            r.Rejuv.Cluster_sim.per_host_outage_s));
-    pf "requests lost: %d of %d (%.1f %%)@." r.Rejuv.Cluster_sim.lost
-      r.Rejuv.Cluster_sim.offered
-      (100.0 *. r.Rejuv.Cluster_sim.loss_ratio)
+            (fun w -> Printf.sprintf "%.0fs" w.Rejuv.Fleet.wave_makespan_s)
+            r.Rejuv.Fleet.waves));
+    pf "requests lost: %d of %d (%.1f %%)@." r.Rejuv.Fleet.lost
+      r.Rejuv.Fleet.offered
+      (100.0 *. r.Rejuv.Fleet.loss_ratio)
   in
   cmd "cluster" ~doc:"Rolling rejuvenation across a simulated cluster"
     Term.(

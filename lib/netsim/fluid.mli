@@ -181,10 +181,9 @@ val observe : ?prefix:string -> Obs.Registry.t -> t -> unit
 
 (** Open-loop fluid arrival streams for dispatchers: each stream is a
     constant offered rate split across servers by a served-fraction
-    closure, integrated at epochs. {!Cluster_sim} and [Rejuv.Fleet] use
-    this in place of per-request Poisson routing when traffic mode is
-    not {!Per_request} — no RNG, so partition-invariant by
-    construction. One value carries any number of streams on one
+    closure, integrated at epochs. [Rejuv.Fleet] uses this in place
+    of per-request Poisson routing when traffic mode is not
+    {!Per_request} — no RNG, so partition-invariant by construction. One value carries any number of streams on one
     engine and advances them all with one event per epoch (the fleet
     keeps one value per shard, one stream per host). *)
 module Open : sig
@@ -200,7 +199,7 @@ module Open : sig
   (** Stream [i] offers [rates_per_s.(i)] requests/s. At each epoch
       tick, [served_fraction i] is the instantaneous fraction of stream
       [i]'s load that reaches a healthy server, clamped to [0..1] (e.g.
-      healthy hosts / total hosts for the paper's blind balancer). The
+      1 while stream [i]'s host is up and 0 while it is down). The
       tick reads the positive-rate streams in index order and never
       calls [served_fraction] for a zero-rate one. [epoch_s] defaults
       to 0.1 s. Raises [Invalid_argument] on a negative or NaN rate or

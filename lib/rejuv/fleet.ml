@@ -25,6 +25,17 @@ module Config = struct
       sample_interval_s = 5.0;
       partitions = 1;
     }
+
+  let cluster = (* simlint: allow D011 immutable template; the host config's engine/plan slots are None *)
+    {
+      default with
+      hosts = 4;
+      host = Scenario.Config.(default |> with_vms 3);
+      wave_width = 1;
+      slo = 0.0;
+      gap_s = 20.0;
+      load_rate_per_s = 100.0;
+    }
 end
 
 (* Control-plane barrier period, simulated seconds: admission checks,
@@ -54,6 +65,7 @@ type cell = {
 
 type t = {
   cfg : Config.t;
+  plan : Wave.plan;
   par : Simkit.Par_engine.t;
   members : cell array;
   fleet_spare : Scenario.t;
@@ -72,10 +84,18 @@ let healthy_hosts t =
   Array.fold_left (fun n c -> if host_healthy c then n + 1 else n) 0 t.members
 
 let create (cfg : Config.t) =
-  if cfg.Config.hosts <= 0 then invalid_arg "Fleet.create: hosts <= 0";
   if cfg.Config.partitions <= 0 then
     invalid_arg "Fleet.create: partitions <= 0";
-  (* [run] derives its stream rates from the traffic config. *)
+  let plan =
+    Wave.plan_exn ~hosts:cfg.Config.hosts ~width:cfg.Config.wave_width
+      ~slo:cfg.Config.slo
+  in
+  (* [run] derives its stream rates from the load and the traffic
+     config. *)
+  if not (cfg.Config.load_rate_per_s > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Fleet.create: load_rate_per_s %g is not > 0"
+         cfg.Config.load_rate_per_s);
   Netsim.Fluid.validate_config cfg.Config.host.Scenario.Config.traffic;
   let shards = min cfg.Config.partitions cfg.Config.hosts in
   (* Hosts share no mutable simulation state, so any cross-host event
@@ -123,7 +143,7 @@ let create (cfg : Config.t) =
         name_prefix = "spare-";
       }
   in
-  let t = { cfg; par; members; fleet_spare; spare_up = false } in
+  let t = { cfg; plan; par; members; fleet_spare; spare_up = false } in
   Obs.gauge "fleet.healthy_hosts" (fun () -> float_of_int (healthy_hosts t));
   Obs.gauge "fleet.capacity_fraction" (fun () ->
       float_of_int (healthy_hosts t) /. float_of_int cfg.Config.hosts);
@@ -262,7 +282,7 @@ type wave_state = {
 }
 
 let run t ~strategy =
-  let cfg = t.cfg in
+  let cfg = t.cfg and plan = t.plan in
   if
     (match (strategy : Wave.strategy) with
     | Wave.Migrate -> true
@@ -273,14 +293,6 @@ let run t ~strategy =
       (Simkit.Fault.Invariant
          "Fleet.run: migrate waves share the spare host and its \
           migration link; partitions must be 1");
-  let plan =
-    match
-      Wave.plan ~hosts:cfg.Config.hosts ~width:cfg.Config.wave_width
-        ~slo:cfg.Config.slo
-    with
-    | Ok p -> p
-    | Error (`Msg m) -> Simkit.Fault.fail (Simkit.Fault.Invariant m)
-  in
   (* Open-loop load, one generator per host so every arrival is shard-
      local. Streams are seeded from (fleet seed, host index): stable
      across partition counts, unlike anything split from a shard

@@ -1,12 +1,15 @@
-(** Fleet-scale rolling rejuvenation control plane.
+(** Rolling rejuvenation across many hosts: the simulator's one
+    multi-host model.
 
-    Scales the {!Cluster_sim} pair-of-hosts picture up to a consolidated
-    {e fleet}: hundreds of hosts — each a full {!Scenario} stack — in
-    one simulation, plus one spare host kept empty as a migration
-    target. A {!Wave.plan} partitions the fleet into rolling waves; the
-    control plane walks the waves, rejuvenating each wave's hosts
-    concurrently (or migrating their guests away first), under an
-    open-loop Poisson client stream dispatched across the fleet.
+    A {e fleet} is any number of hosts — each a full {!Scenario} stack
+    — in one simulation, plus one spare host kept empty as a migration
+    target. {!Config.cluster} is the paper's Section 6 cluster (a few
+    hosts rejuvenated one at a time); {!Config.default} is a
+    consolidated fleet rolled in SLO-guarded waves. A {!Wave.plan}
+    partitions the fleet into rolling waves; the control plane walks
+    the waves, rejuvenating each wave's hosts concurrently (or
+    migrating their guests away first), under an open-loop Poisson
+    client stream dispatched across the fleet.
 
     {b Partitioned time.} Host stacks share no mutable simulation
     state, so the fleet can spread them over
@@ -32,14 +35,17 @@
 
     Instrumented through [Obs]: [fleet.healthy_hosts] and
     [fleet.capacity_fraction] pull gauges, a [fleet.wave_index] push
-    gauge, a [fleet.hosts_rejuvenated] counter, and a capacity sampler
-    whose series backs the [min_healthy]/[mean_healthy] report fields. *)
+    gauge and a [fleet.hosts_rejuvenated] counter. The
+    [min_healthy]/[mean_healthy] report fields come from healthy-host
+    counts the control plane takes at its barriers, every
+    [Config.sample_interval_s]. *)
 
 module Config : sig
   type t = {
     hosts : int;  (** fleet size; default 16 *)
     host : Scenario.Config.t;
-        (** per-host template, as in {!Cluster_sim.Config} *)
+        (** per-host template; [name_prefix] is extended per host and
+            [engine] overwritten with the host's shard engine *)
     wave_width : int;
         (** requested hosts per wave — clamped to the SLO slack by
             {!Wave.plan}; default 4 *)
@@ -64,7 +70,12 @@ module Config : sig
             per-request, seeded exactly like the per-request
             streams. *)
     blind_dispatch : bool;
-        (** health-oblivious dispatch (see {!Cluster_sim.Config}) *)
+        (** Blind dispatch: each host is offered 1/[hosts] of the load,
+            and a request sent to a down host is lost (the paper's
+            Figure 9 lost-request model). Otherwise a down host's
+            requests go to another host that was healthy at the last
+            barrier, and are lost only when no other host was.
+            Default [false]. *)
     sample_interval_s : float;  (** capacity sampling period; default 5 s *)
     partitions : int;
         (** shards the host stacks are spread over (clamped to the
@@ -72,6 +83,11 @@ module Config : sig
   }
 
   val default : t
+
+  val cluster : t
+  (** The Section 6 cluster: 4 hosts of 3 VMs rejuvenated one at a
+      time (wave width 1, SLO 0) with a 20-s gap, under 100 req/s of
+      health-aware dispatched load. *)
 end
 
 type t
@@ -79,8 +95,10 @@ type t
 val create : Config.t -> t
 (** Build the fleet (and its spare host) on a partitioned engine seeded
     from [host.seed], and register the fleet and [par.*] shard gauges
-    into the ambient [Obs] registry. Raises [Invalid_argument] on a
-    non-positive fleet size or partition count, or on a [host.traffic]
+    into the ambient [Obs] registry. Raises [Invalid_argument], before
+    any host is built, on a non-positive partition count, on a wave
+    plan {!Wave.plan} rejects (fleet size, wave width or SLO), on a
+    [load_rate_per_s] that is not positive, or on a [host.traffic]
     that {!Netsim.Fluid.validate_config} rejects. *)
 
 val config : t -> Config.t
@@ -123,11 +141,11 @@ type report = {
 }
 
 val run : t -> strategy:Wave.strategy -> report
-(** Execute one full rolling pass over a started fleet: plan the waves,
-    start the per-host load streams, walk the waves one quantum barrier
-    at a time (admission, launches and sampling all happen at barriers,
-    on the coordinator, with every shard parked), settle, stop the
-    load, and report. [Reboot] waves rejuvenate their hosts
+(** Execute one full rolling pass over a started fleet: start the
+    per-host load streams, walk the waves {!create} planned one quantum
+    barrier at a time (admission, launches and sampling all happen at
+    barriers, on the coordinator, with every shard parked), settle,
+    stop the load, and report. [Reboot] waves rejuvenate their hosts
     concurrently — across domains when partitioned; [Migrate] waves go
     host by host, because the spare's memory and the migration link are
     shared (and therefore fail with [Fault.Invariant] when

@@ -54,8 +54,8 @@ type t
 
     This replaces the old seven-optional-argument [create]; every knob
     now has a name, a documented default, and travels as a value
-    (through {!Cluster_sim} and [Fleet], which stamp per-host prefixes
-    and engines onto a shared template). *)
+    (through [Fleet], which stamps per-host prefixes and engines onto a
+    shared template). *)
 module Config : sig
   type scenario_workload := workload
 
@@ -83,9 +83,8 @@ module Config : sig
         (** traffic model for load offered against this host; default
             {!Netsim.Fluid.default_config} ([Per_request]), which is
             behaviourally identical to the historical per-request
-            path. Consumed by {!Cluster_sim}, [Fleet] and the traffic
-            experiments — the scenario itself schedules nothing for
-            it. *)
+            path. Consumed by [Fleet] and the traffic experiments —
+            the scenario itself schedules nothing for it. *)
   }
 
   val default : t

@@ -23,6 +23,8 @@ type plan = { width : int; slo_floor : int; waves : int list list }
 let plan ~hosts ~width ~slo =
   if hosts <= 0 then Error (`Msg "Wave.plan: hosts <= 0")
   else if width <= 0 then Error (`Msg "Wave.plan: width <= 0")
+  else if not (slo >= 0.0 && slo <= 1.0) then
+    Error (`Msg (Printf.sprintf "Wave.plan: SLO %g outside [0, 1]" slo))
   else
     let slo_floor = int_of_float (Float.ceil (slo *. float_of_int hosts)) in
     let slack = hosts - slo_floor in

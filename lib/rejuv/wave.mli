@@ -37,8 +37,9 @@ val plan :
   hosts:int -> width:int -> slo:float -> (plan, [> `Msg of string ]) result
 (** Partition hosts [0 .. hosts-1] into waves of at most
     [min width (hosts - slo_floor)] hosts. Errors when [hosts] or
-    [width] is non-positive, or the SLO leaves no slack (every host is
-    needed to meet it, so none may ever go down). *)
+    [width] is non-positive, when [slo] is NaN or outside [\[0, 1\]],
+    or when the SLO leaves no slack (every host is needed to meet it,
+    so none may ever go down). *)
 
 val plan_exn : hosts:int -> width:int -> slo:float -> plan
 (** @raise Invalid_argument where {!plan} errors. *)

@@ -1,102 +1,83 @@
-(* The empirical cluster: rolling rejuvenation with measured loss —
-   the paper's future work, tested end-to-end. *)
+(* The empirical cluster: the paper's Section 6 rolling rejuvenation
+   with measured loss, run on the fleet's cluster preset. *)
 open Helpers
-module Cs = Rejuv.Cluster_sim
+module Fleet = Rejuv.Fleet
+module Wave = Rejuv.Wave
 module Strategy = Rejuv.Strategy
 
-(* [blind_dispatch] by default: the loss-band tests below measure the
-   paper's health-oblivious round-robin balancer. *)
-let make ?(hosts = 3) ?(blind_dispatch = true) () =
-  Cs.create { Cs.Config.default with hosts; blind_dispatch }
+(* Three hosts of two VMs rejuvenated one at a time. Blind dispatch by
+   default: the loss bands below measure the paper's lost-request
+   model, where a down host's share of the load is dropped. *)
+let cluster ?(blind_dispatch = true) () =
+  let f =
+    Fleet.create
+      {
+        Fleet.Config.cluster with
+        hosts = 3;
+        host = Rejuv.Scenario.Config.(default |> with_vms 2);
+        blind_dispatch;
+      }
+  in
+  Fleet.start f;
+  f
+
+let roll f strategy = Fleet.run f ~strategy:(Wave.Reboot strategy)
 
 let test_start_brings_all_hosts_up () =
-  let c = make () in
-  Cs.start c;
-  check_int "three hosts" 3 (Cs.host_count c);
-  check_int "all healthy" 3 (Cs.healthy_hosts c);
-  List.iteri
-    (fun i _ -> check_true (Printf.sprintf "host %d" i) (Cs.host_healthy c i))
-    (Cs.nodes c)
-
-let test_load_all_served_when_healthy () =
-  let c = make () in
-  Cs.start c;
-  let load = Cs.offer_load c ~rate_per_s:50.0 in
-  Simkit.Engine.run
-    ~until:(Simkit.Engine.now (Cs.engine c) +. 60.0)
-    (Cs.engine c);
-  Netsim.Poisson.stop load;
-  check_true "requests flowed" (Netsim.Poisson.offered load > 2000);
-  check_int "no losses" 0 (Netsim.Poisson.lost load)
+  let f = cluster () in
+  check_int "three hosts" 3 (Fleet.config f).Fleet.Config.hosts;
+  check_int "all healthy" 3 (Fleet.healthy_hosts f)
 
 let test_rolling_warm_small_losses () =
-  let c = make () in
-  Cs.start c;
-  let r = Cs.rolling_rejuvenation c ~strategy:Strategy.Warm () in
-  check_int "all hosts rebooted" 3 (List.length r.Cs.per_host_outage_s);
+  let f = cluster () in
+  let r = roll f Strategy.Warm in
+  check_int "one wave per host" 3 (List.length r.Fleet.waves);
   List.iter
-    (fun o -> check_in_band "per-host procedure" ~lo:40.0 ~hi:75.0 o)
-    r.Cs.per_host_outage_s;
-  (* Round-robin: 1/3 of requests hit the down host during its ~45 s
-     outage. Over the whole run the loss ratio stays small. *)
-  check_in_band "loss ratio" ~lo:0.05 ~hi:0.35 r.Cs.loss_ratio;
-  check_int "cluster healthy after" 3 (Cs.healthy_hosts c)
+    (fun w ->
+      check_int "one host per wave" 1 (List.length w.Fleet.wave_hosts);
+      check_in_band "per-host procedure" ~lo:40.0 ~hi:75.0
+        w.Fleet.wave_makespan_s)
+    r.Fleet.waves;
+  (* A third of the requests hit the down host during its ~57 s
+     outage. Over the whole pass the loss ratio stays small. *)
+  check_in_band "loss ratio" ~lo:0.05 ~hi:0.35 r.Fleet.loss_ratio;
+  check_int "cluster healthy after" 3 (Fleet.healthy_hosts f)
 
 let test_warm_loses_less_than_cold () =
-  let loss strategy =
-    let c = make () in
-    Cs.start c;
-    (Cs.rolling_rejuvenation c ~strategy ()).Cs.lost
-  in
-  let warm = loss Strategy.Warm in
-  let cold = loss Strategy.Cold in
+  let warm = roll (cluster ()) Strategy.Warm in
+  let cold = roll (cluster ()) Strategy.Cold in
   check_true "warm loses far fewer requests"
-    (float_of_int cold > 2.0 *. float_of_int warm)
+    (float_of_int cold.Fleet.lost > 2.0 *. float_of_int warm.Fleet.lost)
 
 let test_capacity_timeline_dips_one_host_at_a_time () =
-  let c = make () in
-  Cs.start c;
-  let sampler = Cs.watch_capacity c ~interval_s:1.0 in
-  let r = Cs.rolling_rejuvenation c ~strategy:Strategy.Warm () in
-  Simkit.Sampler.stop sampler;
-  let values = Simkit.Series.values (Simkit.Sampler.series sampler) in
-  check_true "never below m-1" (List.for_all (fun v -> v >= 2.0) values);
-  check_true "dipped during reboots" (List.exists (fun v -> v = 2.0) values);
-  check_true "recovered" (List.exists (fun v -> v = 3.0) values);
-  ignore r
+  (* The healthy-host samples of a warm pass: one host down during each
+     reboot, all three back in the gaps between waves. *)
+  let f = cluster () in
+  let r = roll f Strategy.Warm in
+  check_int "never below m-1, dipped during reboots" 2 r.Fleet.min_healthy;
+  check_true "recovered between reboots" (r.Fleet.mean_healthy > 2.0);
+  check_int "recovered after" 3 (Fleet.healthy_hosts f)
 
 let test_cluster_never_fully_dark () =
   (* Even a rolling COLD reboot keeps the cluster serving. *)
-  let c = make () in
-  Cs.start c;
-  let sampler = Cs.watch_capacity c ~interval_s:1.0 in
-  ignore (Cs.rolling_rejuvenation c ~strategy:Strategy.Cold ());
-  Simkit.Sampler.stop sampler;
-  check_true "always at least 2 hosts"
-    (List.for_all
-       (fun v -> v >= 2.0)
-       (Simkit.Series.values (Simkit.Sampler.series sampler)))
+  let r = roll (cluster ()) Strategy.Cold in
+  check_true "always at least 2 hosts" (r.Fleet.min_healthy >= 2)
 
 let test_healthy_dispatch_avoids_down_hosts () =
-  (* The default dispatcher skips rejuvenating hosts, so a rolling warm
-     pass loses almost nothing — only requests already in flight. *)
-  let c = make ~blind_dispatch:false () in
-  Cs.start c;
-  let r = Cs.rolling_rejuvenation c ~strategy:Strategy.Warm () in
-  check_true "served nearly everything" (r.Cs.loss_ratio < 0.01);
-  let blind = make () in
-  Cs.start blind;
-  let rb = Cs.rolling_rejuvenation blind ~strategy:Strategy.Warm () in
+  (* Health-aware dispatch sends a down host's requests to a healthy
+     one, so a rolling warm pass loses almost nothing. *)
+  let aware = roll (cluster ~blind_dispatch:false ()) Strategy.Warm in
+  check_true "served nearly everything" (aware.Fleet.loss_ratio < 0.01);
+  let blind = roll (cluster ()) Strategy.Warm in
   check_true "blind dispatch loses more"
-    (float_of_int rb.Cs.lost > 10.0 *. float_of_int (max r.Cs.lost 1))
+    (float_of_int blind.Fleet.lost
+    > 10.0 *. float_of_int (max aware.Fleet.lost 1))
 
 let suite =
   ( "cluster_sim",
     [
       Alcotest.test_case "start brings hosts up" `Quick
         test_start_brings_all_hosts_up;
-      Alcotest.test_case "load served when healthy" `Quick
-        test_load_all_served_when_healthy;
       Alcotest.test_case "rolling warm" `Slow test_rolling_warm_small_losses;
       Alcotest.test_case "warm loses less than cold" `Slow
         test_warm_loses_less_than_cold;

@@ -1,6 +1,7 @@
 (* The fleet control plane: wave planning, the SLO admission guard
    (as a QCheck law), migrate-then-reboot waves, and determinism of
-   the fleet_rolling experiment output. *)
+   the fleet_rolling experiment output. The Section 6 cluster preset
+   is exercised in test_cluster_sim.ml. *)
 open Helpers
 module Fleet = Rejuv.Fleet
 module Wave = Rejuv.Wave
@@ -36,7 +37,9 @@ let test_plan_rejects_impossible_inputs () =
   in
   check_true "no hosts" (err ~hosts:0 ~width:2 ~slo:0.5);
   check_true "no width" (err ~hosts:8 ~width:0 ~slo:0.5);
-  check_true "no slack: every host needed" (err ~hosts:8 ~width:2 ~slo:1.0)
+  check_true "no slack: every host needed" (err ~hosts:8 ~width:2 ~slo:1.0);
+  check_true "negative SLO" (err ~hosts:8 ~width:2 ~slo:(-0.5));
+  check_true "NaN SLO" (err ~hosts:8 ~width:2 ~slo:Float.nan)
 
 (* --- the control plane --------------------------------------------------- *)
 
@@ -91,31 +94,36 @@ let qcheck_slo_guard =
         let r = Fleet.run f ~strategy:(Wave.Reboot Strategy.Warm) in
         r.Fleet.min_healthy >= r.Fleet.slo_floor)
 
-(* [Fleet.run] derives its stream rates from the host traffic config,
-   so a config that would make them NaN, negative or larger than the
-   population's must be refused when the fleet is built. *)
-let test_create_rejects_bad_traffic () =
+(* [Fleet.run] walks the wave plan and derives its stream rates from
+   the load and the host traffic config, so a config that would make
+   the plan impossible or the rates zero, NaN, negative or larger than
+   the population's must be refused when the fleet is built — before
+   any host boots. *)
+let test_create_rejects_bad_config () =
   let module Fluid = Netsim.Fluid in
-  let rejects name traffic =
-    match
-      Fleet.create
-        {
-          Fleet.Config.default with
-          hosts = 2;
-          host = { Rejuv.Scenario.Config.default with traffic };
-        }
-    with
+  let base = { Fleet.Config.default with hosts = 2; slo = 0.5 } in
+  ignore (Fleet.create base);
+  let rejects name cfg =
+    match Fleet.create cfg with
     | _ -> Alcotest.fail (name ^ " accepted")
     | exception Invalid_argument _ -> ()
   in
+  let rejects_traffic name traffic =
+    rejects name
+      { base with host = { Rejuv.Scenario.Config.default with traffic } }
+  in
   let hybrid = { Fluid.default_config with Fluid.mode = Fluid.Hybrid } in
   let fluid = { Fluid.default_config with Fluid.mode = Fluid.Fluid } in
-  rejects "hybrid, no clients"
+  rejects_traffic "hybrid, no clients"
     { hybrid with Fluid.clients = 0; think_time_s = 60.0 };
-  rejects "hybrid, more tracers than clients"
+  rejects_traffic "hybrid, more tracers than clients"
     { hybrid with Fluid.clients = 2; tracers = 4 };
-  rejects "negative think time" { fluid with Fluid.think_time_s = -1.0 };
-  rejects "zero epoch" { fluid with Fluid.epoch_s = 0.0 }
+  rejects_traffic "negative think time"
+    { fluid with Fluid.think_time_s = -1.0 };
+  rejects_traffic "zero epoch" { fluid with Fluid.epoch_s = 0.0 };
+  rejects "zero wave width" { base with wave_width = 0 };
+  rejects "NaN SLO" { base with slo = Float.nan };
+  rejects "zero load" { base with load_rate_per_s = 0.0 }
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -145,7 +153,7 @@ let suite =
       Alcotest.test_case "migrate waves keep capacity" `Slow
         test_migrate_waves_lose_no_capacity_headroom;
       qcheck_slo_guard;
-      Alcotest.test_case "create rejects bad traffic" `Quick
-        test_create_rejects_bad_traffic;
+      Alcotest.test_case "create rejects bad config" `Quick
+        test_create_rejects_bad_config;
       Alcotest.test_case "same seed, same JSON" `Slow test_same_seed_same_json;
     ] )

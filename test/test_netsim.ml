@@ -1,10 +1,8 @@
-(* Prober, httperf, balancer and link models. *)
+(* Prober and httperf models. *)
 open Helpers
 module Engine = Simkit.Engine
 module Prober = Netsim.Prober
 module Httperf = Netsim.Httperf
-module Balancer = Netsim.Balancer
-module Link = Netsim.Link
 
 (* --- prober -------------------------------------------------------------- *)
 
@@ -98,74 +96,6 @@ let test_httperf_window_throughput () =
     (fun (_, rate) -> check_in_band "20 req/s" ~lo:19.0 ~hi:21.0 rate)
     windows
 
-(* --- balancer ------------------------------------------------------------ *)
-
-let test_balancer_capacity () =
-  let e = Engine.create () in
-  let b = Balancer.create e () in
-  let h1 = Balancer.add_host b ~name:"h1" ~capacity:100.0 in
-  let _h2 = Balancer.add_host b ~name:"h2" ~capacity:100.0 in
-  check_float "full" 200.0 (Balancer.total_throughput b);
-  Balancer.set_down h1;
-  check_float "one down" 100.0 (Balancer.total_throughput b);
-  Balancer.set_up h1;
-  Balancer.set_degraded h1 ~factor:0.31;
-  check_float "degraded" 131.0 (Balancer.total_throughput b);
-  Balancer.set_up h1;
-  check_float "recovered resets factor" 200.0 (Balancer.total_throughput b)
-
-let test_balancer_sampling () =
-  let e = Engine.create () in
-  let b = Balancer.create e () in
-  let h = Balancer.add_host b ~name:"h" ~capacity:10.0 in
-  let series = Balancer.start_sampling b ~interval_s:1.0 in
-  ignore (Engine.schedule e ~delay:4.5 (fun () -> Balancer.set_down h));
-  ignore (Engine.schedule e ~delay:8.5 (fun () -> Balancer.set_up h));
-  ignore (Engine.schedule e ~delay:12.0 (fun () -> Balancer.stop_sampling b));
-  Engine.run e;
-  let at time =
-    match
-      List.find_opt (fun (t, _) -> Float.abs (t -. time) < 0.01)
-        (Simkit.Series.to_list series)
-    with
-    | Some (_, v) -> v
-    | None -> Alcotest.failf "no sample at %.1f" time
-  in
-  check_float "before" 10.0 (at 3.0);
-  check_float "during" 0.0 (at 6.0);
-  check_float "after" 10.0 (at 10.0)
-
-(* --- link ---------------------------------------------------------------- *)
-
-let test_link_latency_and_bandwidth () =
-  let e = Engine.create () in
-  let link = Link.create e ~latency_ms:10.0 ~gbit_per_s:1.0 () in
-  let d =
-    task_duration e (fun k -> Link.send link ~bytes:12_500_000 k)
-  in
-  (* 12.5 MB at 125 MB/s = 0.1 s + 10 ms latency. *)
-  check_close ~tolerance:0.01 "wire + latency" 0.11 d
-
-let test_link_round_trip () =
-  let e = Engine.create () in
-  let link = Link.create e ~latency_ms:5.0 ~gbit_per_s:1.0 () in
-  let d =
-    task_duration e (fun k ->
-        Link.round_trip link ~request_bytes:0 ~response_bytes:0 k)
-  in
-  check_close ~tolerance:0.01 "two latencies" 0.01 d
-
-let test_link_sharing () =
-  let e = Engine.create () in
-  let link = Link.create e ~latency_ms:0.0 ~gbit_per_s:1.0 () in
-  let t1 = ref nan and t2 = ref nan in
-  Link.send link ~bytes:62_500_000 (fun () -> t1 := Engine.now e);
-  Link.send link ~bytes:62_500_000 (fun () -> t2 := Engine.now e);
-  Engine.run e;
-  (* Two 0.5 s transfers sharing the wire both land at ~1 s. *)
-  check_close ~tolerance:0.01 "shared" 1.0 !t1;
-  check_close ~tolerance:0.01 "shared" 1.0 !t2
-
 let suite =
   ( "netsim",
     [
@@ -181,10 +111,4 @@ let suite =
       Alcotest.test_case "httperf retries" `Quick
         test_httperf_retries_after_failure;
       Alcotest.test_case "httperf windows" `Quick test_httperf_window_throughput;
-      Alcotest.test_case "balancer capacity" `Quick test_balancer_capacity;
-      Alcotest.test_case "balancer sampling" `Quick test_balancer_sampling;
-      Alcotest.test_case "link latency+bandwidth" `Quick
-        test_link_latency_and_bandwidth;
-      Alcotest.test_case "link round trip" `Quick test_link_round_trip;
-      Alcotest.test_case "link sharing" `Quick test_link_sharing;
     ] )

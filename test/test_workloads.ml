@@ -1,46 +1,7 @@
-(* Sampler and open-loop Poisson generator. *)
+(* Open-loop Poisson generator. *)
 open Helpers
 module Engine = Simkit.Engine
-module Sampler = Simkit.Sampler
 module Poisson = Netsim.Poisson
-
-let test_sampler_records_gauge () =
-  let e = Engine.create () in
-  let value = ref 1.0 in
-  let s = Sampler.start e ~interval_s:1.0 ~gauge:(fun () -> !value) () in
-  ignore (Engine.schedule e ~delay:4.5 (fun () -> value := 2.0));
-  Engine.run ~until:10.0 e;
-  Sampler.stop s;
-  check_false "stopped" (Sampler.is_running s);
-  let early = Sampler.samples_between s ~lo:0.0 ~hi:4.0 in
-  let late = Sampler.samples_between s ~lo:5.0 ~hi:10.0 in
-  check_true "early all 1.0" (List.for_all (fun v -> v = 1.0) early);
-  check_true "late all 2.0" (List.for_all (fun v -> v = 2.0) late);
-  check_int "5 early samples" 5 (List.length early)
-
-let test_sampler_mean () =
-  let e = Engine.create () in
-  let s =
-    Sampler.start e ~interval_s:1.0 ~gauge:(fun () -> Engine.now e) ()
-  in
-  Engine.run ~until:4.0 e;
-  Sampler.stop s;
-  (* Samples at 0,1,2,3,4 -> mean 2. *)
-  check_float ~eps:1e-9 "mean" 2.0 (Sampler.mean_between s ~lo:0.0 ~hi:4.0);
-  check_true "empty window raises"
-    (try ignore (Sampler.mean_between s ~lo:100.0 ~hi:200.0); false
-     with Invalid_argument _ -> true)
-
-let test_sampler_stop_halts () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let s =
-    Sampler.start e ~interval_s:1.0 ~gauge:(fun () -> incr count; 0.0) ()
-  in
-  ignore (Engine.schedule e ~delay:3.5 (fun () -> Sampler.stop s));
-  Engine.run e;
-  (* Engine drains because the sampler stops rescheduling. *)
-  check_int "four gauge reads" 4 !count
 
 let test_poisson_rate () =
   let e = Engine.create () in
@@ -111,10 +72,6 @@ let test_poisson_open_loop_independence () =
 let suite =
   ( "workloads",
     [
-      Alcotest.test_case "sampler records gauge" `Quick
-        test_sampler_records_gauge;
-      Alcotest.test_case "sampler mean" `Quick test_sampler_mean;
-      Alcotest.test_case "sampler stop" `Quick test_sampler_stop_halts;
       Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
       Alcotest.test_case "poisson rejects bad rates" `Quick
         test_poisson_rejects_bad_rates;

@@ -16,8 +16,6 @@ let pf = Format.printf
 let header title =
   pf "@.=== %s ===@." title
 
-let row4 a b c d = pf "%-10s %14s %14s %14s@." a b c d
-
 let jobs = ref (Runner.Pool.default_jobs ())
 
 (* --- structured bench output ----------------------------------------------
@@ -48,33 +46,44 @@ let write_bench_file () =
   close_out oc;
   pf "@.wrote %d metric(s) to %s@." (List.length !bench_metrics) !bench_out
 
-(* Run one registered experiment's shards through the sweep runner and
-   return the merged result (byte-identical to the sequential path). *)
+module Experiment = Rejuv.Experiment
+module Result = Rejuv.Experiment.Result
+
+(* Run one registered experiment's cells through the sweep runner,
+   print the merged result and return it (byte-identical to
+   [Experiment.run]'s). *)
 let sweep_result ?(workload = Rejuv.Scenario.Ssh) id =
-  let params = { Rejuv.Experiment.Spec.default_params with workload } in
-  let merged, outcomes = Rejuv.Experiment.sweep ~jobs:!jobs ~params [ id ] in
+  let params = { Experiment.Spec.default_params with workload } in
+  let merged, outcomes = Experiment.sweep ~jobs:!jobs ~params [ id ] in
   pf "(%d runs, %d domain(s), %.2f s of run wall-clock)@."
     (List.length outcomes) !jobs
     (Runner.Sweep.total_wall_s outcomes);
   match List.assoc id merged with
-  | Ok r -> r
+  | Ok r ->
+    pf "%a" Result.pp r;
+    r
   | Error f -> Simkit.Fault.fail f
+
+(* Run one registered experiment in this domain and print it. *)
+let run_result ?(strategy = Rejuv.Strategy.Warm) id =
+  let r =
+    Experiment.run
+      ~params:{ Experiment.Spec.default_params with strategy }
+      id
+  in
+  pf "%a" Result.pp r;
+  r
+
+let wall_of f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* --- Figure 4 / Figure 5 ------------------------------------------------- *)
 
-let print_task_times ~x_label rows =
-  pf "%-6s | %10s %10s | %10s %10s | %10s %10s@." x_label "onm-susp"
-    "onm-res" "xen-save" "xen-rest" "shutdown" "boot";
-  List.iter
-    (fun (r : Rejuv.Experiment.task_times) ->
-      pf "%-6d | %10.2f %10.2f | %10.2f %10.2f | %10.2f %10.2f@." r.x
-        r.onmem_suspend_s r.onmem_resume_s r.xen_save_s r.xen_restore_s
-        r.shutdown_s r.boot_s)
-    rows
-
-let task_times_of id ~workload =
-  match sweep_result ~workload id with
-  | Rejuv.Experiment.Result.Task_times rows -> rows
+let task_times_of id =
+  match sweep_result id with
+  | Result.Task_times rows -> rows
   | _ -> assert false
 
 (* Headline: the largest sweep point (the paper reports 11 GiB / 11
@@ -95,44 +104,30 @@ let fig4 () =
   header "Figure 4: pre/post-reboot task time vs VM memory size (1 VM)";
   pf "paper at 11 GiB: on-mem suspend 0.08 s, resume 0.9 s;@.";
   pf "                Xen save ~133 s, restore ~129 s (0.06%% / 0.7%%)@.";
-  let rows = task_times_of "fig4" ~workload:Rejuv.Scenario.Ssh in
-  print_task_times ~x_label:"GiB" rows;
-  record_task_times "fig4" rows
+  record_task_times "fig4" (task_times_of "fig4")
 
 let fig5 () =
   header "Figure 5: pre/post-reboot task time vs number of VMs (1 GiB each)";
   pf "paper at 11 VMs: on-mem suspend 0.04 s, resume 4.2 s;@.";
   pf "                Xen save ~200 s, restore ~156 s; boot grows 3.4n@.";
-  let rows = task_times_of "fig5" ~workload:Rejuv.Scenario.Ssh in
-  print_task_times ~x_label:"VMs" rows;
-  record_task_times "fig5" rows
+  record_task_times "fig5" (task_times_of "fig5")
 
 (* --- Section 5.2 --------------------------------------------------------- *)
 
 let reload () =
   header "Section 5.2: effect of quick reload (VMM reboot, no domUs)";
-  let r = Rejuv.Experiment.quick_reload_effect () in
-  row4 "" "paper" "measured" "";
-  row4 "quick" "11 s" (Printf.sprintf "%.1f s" r.quick_reload_s) "";
-  row4 "hw reset" "59 s" (Printf.sprintf "%.1f s" r.hardware_reset_s) "";
-  pf "speed-up: paper 48 s, measured %.1f s@."
-    (r.hardware_reset_s -. r.quick_reload_s);
-  record "reload.quick_reload_s" r.quick_reload_s;
-  record "reload.hardware_reset_s" r.hardware_reset_s
+  pf "paper: quick reload 11 s, hardware reset 59 s (speed-up 48 s)@.";
+  match run_result "quick_reload" with
+  | Result.Reload r ->
+    record "reload.quick_reload_s" r.quick_reload_s;
+    record "reload.hardware_reset_s" r.hardware_reset_s
+  | _ -> assert false
 
 (* --- Figure 6 ------------------------------------------------------------ *)
 
-let print_fig6 rows =
-  pf "%-6s %12s %12s %12s@." "VMs" "warm" "saved" "cold";
-  List.iter
-    (fun (r : Rejuv.Experiment.fig6_row) ->
-      pf "%-6d %12.1f %12.1f %12.1f@." r.n r.warm_downtime_s
-        r.saved_downtime_s r.cold_downtime_s)
-    rows
-
 let fig6_rows workload =
   match sweep_result ~workload "fig6" with
-  | Rejuv.Experiment.Result.Fig6 rows -> rows
+  | Result.Fig6 rows -> rows
   | _ -> assert false
 
 let record_fig6 tag rows =
@@ -147,73 +142,39 @@ let record_fig6 tag rows =
 let fig6a () =
   header "Figure 6a: downtime of ssh (seconds)";
   pf "paper at 11 VMs: warm 42, saved 429, cold 157@.";
-  let rows = fig6_rows Rejuv.Scenario.Ssh in
-  print_fig6 rows;
-  record_fig6 "fig6a" rows
+  record_fig6 "fig6a" (fig6_rows Rejuv.Scenario.Ssh)
 
 let fig6b () =
   header "Figure 6b: downtime of JBoss (seconds)";
   pf "paper at 11 VMs: warm ~42 (same as ssh), cold 241@.";
-  let rows = fig6_rows Rejuv.Scenario.Jboss in
-  print_fig6 rows;
-  record_fig6 "fig6b" rows
+  record_fig6 "fig6b" (fig6_rows Rejuv.Scenario.Jboss)
 
 (* --- Section 5.3 --------------------------------------------------------- *)
 
 let avail () =
   header "Section 5.3: availability (JBoss, 11 VMs, weekly OS rejuvenation)";
-  let os_downtime = Rejuv.Experiment.run_os_rejuvenation () in
-  pf "OS rejuvenation downtime: paper 33.6 s, measured %.1f s@." os_downtime;
-  let rows =
-    Rejuv.Experiment.fig6 ~vm_counts:[ 11 ] ~workload:Rejuv.Scenario.Jboss ()
-  in
-  let row = List.hd rows in
-  let measured =
-    Rejuv.Experiment.availability_table ~os_downtime_s:os_downtime
-      ~vmm_downtimes:
-        [
-          (Rejuv.Strategy.Warm, row.warm_downtime_s);
-          (Rejuv.Strategy.Cold, row.cold_downtime_s);
-          (Rejuv.Strategy.Saved, row.saved_downtime_s);
-        ]
-      ()
-  in
-  let paper = function
-    | Rejuv.Strategy.Warm -> "99.993 %"
-    | Rejuv.Strategy.Cold -> "99.985 %"
-    | Rejuv.Strategy.Saved -> "99.977 %"
-  in
-  row4 "strategy" "paper" "measured" "nines";
-  record "avail.os_rejuvenation_downtime_s" os_downtime;
-  List.iter
-    (fun (s, a) ->
-      (* Gate on unavailability: drift in the tiny complement is what a
-         regression would actually move. *)
-      record ~unit_:"fraction"
-        (Printf.sprintf "avail.%s.unavailability" (Rejuv.Strategy.id s))
-        (1.0 -. a);
-      row4 (Rejuv.Strategy.name s) (paper s)
-        (Format.asprintf "%a" Rejuv.Availability.pp_percent a)
-        (string_of_int (Rejuv.Availability.nines a)))
-    measured
+  pf "paper: OS rejuvenation downtime 33.6 s;@.";
+  pf "       availability warm 99.993 %%, cold 99.985 %%, saved 99.977 %%@.";
+  (match run_result "os_rejuvenation" with
+  | Result.Scalar { value; _ } ->
+    record "avail.os_rejuvenation_downtime_s" value
+  | _ -> assert false);
+  match run_result "availability" with
+  | Result.Availability measured ->
+    List.iter
+      (fun (s, a) ->
+        (* Gate on unavailability: drift in the tiny complement is what a
+           regression would actually move. *)
+        record ~unit_:"fraction"
+          (Printf.sprintf "avail.%s.unavailability" (Rejuv.Strategy.id s))
+          (1.0 -. a))
+      measured
+  | _ -> assert false
 
 (* --- Figure 7 ------------------------------------------------------------ *)
 
-let fig7_one strategy =
-  let r = Rejuv.Experiment.fig7 ~strategy () in
-  pf "-- %a: reboot command at t=%.0f s@." Rejuv.Strategy.pp strategy
-    r.reboot_command_at;
-  (match (r.web_down_at, r.web_up_at) with
-  | Some d, Some u ->
-    pf "   web server down %.1f .. %.1f s (outage %.1f s)@." d u (u -. d);
-    record
-      (Printf.sprintf "fig7.%s.web_outage_s" (Rejuv.Strategy.id strategy))
-      (u -. d)
-  | _ -> pf "   web server never observed down@.");
-  List.iter
-    (fun (l, a, b) -> pf "   span %-28s %8.1f .. %8.1f s@." l a b)
-    r.f7_spans;
-  pf "   throughput (50-request windows resampled to 5 s, req/s):@.";
+let fig7_buckets (r : Experiment.fig7_result) =
+  pf "throughput (50-request windows resampled to 5 s, req/s):@.";
   (* The raw series has a window every ~0.2 s; bucket it for reading. *)
   let bucket = 5.0 in
   let groups = Hashtbl.create 64 in
@@ -231,6 +192,18 @@ let fig7_one strategy =
            (float_of_int (b + 1) *. bucket)
            (sum /. float_of_int n))
 
+let fig7_one strategy =
+  match run_result ~strategy "fig7" with
+  | Result.Fig7 r ->
+    (match (r.web_down_at, r.web_up_at) with
+    | Some d, Some u ->
+      record
+        (Printf.sprintf "fig7.%s.web_outage_s" (Rejuv.Strategy.id strategy))
+        (u -. d)
+    | _ -> ());
+    fig7_buckets r
+  | _ -> assert false
+
 let fig7 () =
   header "Figure 7: downtime breakdown + web throughput during the reboot";
   pf "paper: warm stops web at t=34, cold at t=27; cold dips 8 s after@.";
@@ -240,34 +213,28 @@ let fig7 () =
 
 (* --- Figure 8 ------------------------------------------------------------ *)
 
-let print_before_after what unit_ paper_deg (r : Rejuv.Experiment.before_after) =
-  pf "%-18s before %7.1f/%7.1f %s   after %7.1f/%7.1f %s   degradation %4.0f %% (paper %s)@."
-    what r.first_before r.second_before unit_ r.first_after r.second_after
-    unit_
-    (100.0 *. r.degradation)
-    paper_deg
-
-let record_before_after tag (r : Rejuv.Experiment.before_after) =
-  record ~unit_:"fraction" (tag ^ ".degradation") r.degradation;
-  record ~unit_:"throughput" (tag ^ ".first_after") r.first_after
+(* Both strategies' first/second pass before and after the reboot. *)
+let before_after tag id =
+  List.iter
+    (fun strategy ->
+      pf "%s: " (Rejuv.Strategy.id strategy);
+      match run_result ~strategy id with
+      | Result.Before_after r ->
+        let name = Printf.sprintf "%s.%s" tag (Rejuv.Strategy.id strategy) in
+        record ~unit_:"fraction" (name ^ ".degradation") r.degradation;
+        record ~unit_:"throughput" (name ^ ".first_after") r.first_after
+      | _ -> assert false)
+    [ Rejuv.Strategy.Warm; Rejuv.Strategy.Cold ]
 
 let fig8a () =
   header "Figure 8a: 512 MB file-read throughput before/after the reboot";
-  let warm = Rejuv.Experiment.fig8_file ~strategy:Rejuv.Strategy.Warm () in
-  let cold = Rejuv.Experiment.fig8_file ~strategy:Rejuv.Strategy.Cold () in
-  print_before_after "warm (1st/2nd)" "MiB/s" "0 %" warm;
-  print_before_after "cold (1st/2nd)" "MiB/s" "91 %" cold;
-  record_before_after "fig8a.warm" warm;
-  record_before_after "fig8a.cold" cold
+  pf "paper: degradation warm 0 %%, cold 91 %% (MiB/s)@.";
+  before_after "fig8a" "fig8_file"
 
 let fig8b () =
   header "Figure 8b: web-server throughput before/after the reboot";
-  let warm = Rejuv.Experiment.fig8_web ~strategy:Rejuv.Strategy.Warm () in
-  let cold = Rejuv.Experiment.fig8_web ~strategy:Rejuv.Strategy.Cold () in
-  print_before_after "warm (1st/2nd)" "req/s" "0 %" warm;
-  print_before_after "cold (1st/2nd)" "req/s" "69 %" cold;
-  record_before_after "fig8b.warm" warm;
-  record_before_after "fig8b.cold" cold
+  pf "paper: degradation warm 0 %%, cold 69 %% (req/s)@.";
+  before_after "fig8b" "fig8_web"
 
 (* --- Section 5.6 ---------------------------------------------------------- *)
 
@@ -276,12 +243,14 @@ let fits () =
   pf "paper: reboot_vmm(n) = -0.55n + 43, resume(n) = 0.43n - 0.07,@.";
   pf "       reboot_os(n) = 3.8n + 13, boot(n) = 3.4n + 2.8, reset_hw = 47@.";
   pf "       => r(n) = 3.9n + 60 - 17 alpha@.";
-  let f = Rejuv.Experiment.section_5_6_fits () in
-  pf "measured:@.%a" Rejuv.Downtime_model.pp f;
-  let rf = Rejuv.Downtime_model.reduction_as_formula f in
-  record ~unit_:"s/vm" "fits.reduction.n_slope" rf.n_slope;
-  record "fits.reduction.constant" rf.constant;
-  record "fits.reduction.alpha_coefficient" rf.alpha_coefficient
+  pf "measured:@.";
+  match run_result "section_5_6_fits" with
+  | Result.Fits f ->
+    let rf = Rejuv.Downtime_model.reduction_as_formula f in
+    record ~unit_:"s/vm" "fits.reduction.n_slope" rf.n_slope;
+    record "fits.reduction.constant" rf.constant;
+    record "fits.reduction.alpha_coefficient" rf.alpha_coefficient
+  | _ -> assert false
 
 (* --- Figure 2 (policy) ---------------------------------------------------- *)
 
@@ -311,22 +280,24 @@ let policy () =
 
 let fig9 () =
   header "Figure 9: cluster total throughput (m=4 hosts, p=1)";
-  let p = Rejuv.Cluster.paper_params ~m:4 ~p:1.0 () in
+  let p = Rejuv.Cluster.paper_params () in
   let horizon_s = 3600.0 in
-  let show name tl =
-    pf "%-12s " name;
-    List.iter (fun (t, v) -> pf "(%.0fs -> %.2f) " t v) tl;
-    pf " | lost capacity %.1f host-s over %.0f s@."
+  let lost (name, tl) =
+    pf "%s: lost capacity %.1f host-s over %.0f s@." name
       (Rejuv.Cluster.lost_capacity p tl ~horizon_s)
       horizon_s
   in
-  show "warm" (Rejuv.Cluster.warm_timeline p ~reboot_at:600.0);
-  show "cold" (Rejuv.Cluster.cold_timeline p ~reboot_at:600.0);
-  show "migration" (Rejuv.Cluster.migration_timeline p ~migrate_at:600.0);
+  (match run_result "fig9" with
+  | Result.Timeline series -> List.iter lost series
+  | _ -> assert false);
   pf "rolling rejuvenation of all 4 hosts (warm, 120 s apart):@.";
-  show "rolling"
-    (Rejuv.Cluster.rolling_rejuvenation p ~strategy:Rejuv.Strategy.Warm
-       ~start_at:600.0 ~gap_s:120.0)
+  let rolling =
+    ( "rolling",
+      Rejuv.Cluster.rolling_rejuvenation p ~strategy:Rejuv.Strategy.Warm
+        ~start_at:600.0 ~gap_s:120.0 )
+  in
+  pf "%a" Result.pp (Result.Timeline [ rolling ]);
+  lost rolling
 
 (* --- Section 6, executed: live migration vs warm reboot ------------------- *)
 
@@ -462,49 +433,28 @@ let cluster () =
 let fleet () =
   header
     "Fleet: 200 hosts, rolling warm waves of 16 under a 0.75 SLO guard";
-  pf "one grid cell of fleet_rolling, sharded through the sweep runner@.";
-  let params =
-    {
-      Rejuv.Experiment.Spec.default_params with
-      fleet_hosts = Some [ 200 ];
-      wave_widths = Some [ 16 ];
-      wave_strategy = Some (Rejuv.Wave.Reboot Rejuv.Strategy.Warm);
-    }
+  pf "fleet_rolling's (200 hosts, width 16, warm) cell at seed 42@.";
+  let ev0 = Simkit.Engine.domain_events_processed () in
+  let r, wall =
+    wall_of (fun () ->
+        Experiment.fleet_cell ~seed:42 ~hosts:200 ~width:16 ~slo:0.75
+          ~strategy:(Rejuv.Wave.Reboot Rejuv.Strategy.Warm)
+          ())
   in
-  let merged, outcomes =
-    Rejuv.Experiment.sweep ~jobs:!jobs ~params [ "fleet_rolling" ]
-  in
-  let wall = Runner.Sweep.total_wall_s outcomes in
-  let events =
-    List.fold_left
-      (fun acc (o : _ Runner.Sweep.outcome) -> acc + o.metrics.sim_events)
-      0 outcomes
-  in
-  pf "(%d run(s), %d sim events, %.2f s of run wall-clock)@."
-    (List.length outcomes) events wall;
-  match List.assoc "fleet_rolling" merged with
-  | Ok (Rejuv.Experiment.Result.Fleet [ r ]) ->
-    pf
-      "%d waves, makespan %.0f s; healthy hosts min %d / floor %d (SLO %s); \
-       lost %d/%d@."
-      (List.length r.Rejuv.Fleet.waves)
-      r.Rejuv.Fleet.makespan_s r.Rejuv.Fleet.min_healthy
-      r.Rejuv.Fleet.slo_floor
-      (if r.Rejuv.Fleet.slo_met then "met" else "MISSED")
-      r.Rejuv.Fleet.lost r.Rejuv.Fleet.offered;
-    (* The acceptance gate: warm-wave rolling rejuvenation never drops
-       projected capacity below the SLO floor. *)
-    record ~unit_:"bool" ~tolerance_pct:(Some 0.0) "fleet.warm.slo_met"
-      (if r.Rejuv.Fleet.slo_met then 1.0 else 0.0);
-    record ~unit_:"hosts" "fleet.warm.min_healthy"
-      (float_of_int r.Rejuv.Fleet.min_healthy);
-    record "fleet.warm.makespan_s" r.Rejuv.Fleet.makespan_s;
-    record ~unit_:"fraction" "fleet.warm.loss_ratio" r.Rejuv.Fleet.loss_ratio;
-    if wall > 0.0 && events > 0 then
-      record_info ~unit_:"events/s" "fleet.events_per_s"
-        (float_of_int events /. wall)
-  | Ok _ -> assert false
-  | Error f -> Simkit.Fault.fail f
+  let events = Simkit.Engine.domain_events_processed () - ev0 in
+  pf "(%d sim events, %.2f s wall)@.%a" events wall Result.pp
+    (Result.Fleet [ r ]);
+  (* The acceptance gate: warm-wave rolling rejuvenation never drops
+     projected capacity below the SLO floor. *)
+  record ~unit_:"bool" ~tolerance_pct:(Some 0.0) "fleet.warm.slo_met"
+    (if r.Rejuv.Fleet.slo_met then 1.0 else 0.0);
+  record ~unit_:"hosts" "fleet.warm.min_healthy"
+    (float_of_int r.Rejuv.Fleet.min_healthy);
+  record "fleet.warm.makespan_s" r.Rejuv.Fleet.makespan_s;
+  record ~unit_:"fraction" "fleet.warm.loss_ratio" r.Rejuv.Fleet.loss_ratio;
+  if wall > 0.0 && events > 0 then
+    record_info ~unit_:"events/s" "fleet.events_per_s"
+      (float_of_int events /. wall)
 
 (* --- Partitioned fleet: intra-run parallelism ------------------------------ *)
 
@@ -672,17 +622,7 @@ let faults () =
   pf "each site armed to fire on its first call during the reboot;@.";
   pf "policy: 1 retry, fallback allowed, abandon failed domains@.";
   match sweep_result "fault_matrix" with
-  | Rejuv.Experiment.Result.Fault_matrix cells ->
-    pf "%-8s %-20s %5s %9s %-9s %7s %5s %8s@." "strategy" "site" "fired"
-      "recovered" "completed" "retries" "lost" "extra-s";
-    List.iter
-      (fun (c : Rejuv.Fault_matrix.cell) ->
-        pf "%-8s %-20s %5d %9b %-9s %7d %5d %8.1f@."
-          (Rejuv.Strategy.id c.fm_strategy)
-          c.fm_site c.injected c.recovered
-          (Rejuv.Strategy.id c.completed)
-          c.retries c.domains_lost c.extra_downtime_s)
-      cells;
+  | Result.Fault_matrix cells ->
     let recovered =
       List.length (List.filter (fun (c : Rejuv.Fault_matrix.cell) -> c.recovered) cells)
     in
@@ -785,11 +725,6 @@ let run_httperf_heavy ~queue () =
   Netsim.Httperf.stop gen;
   (e, gen)
 
-let wall_of f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* --- Elastic traffic model ------------------------------------------------- *)
 
 (* The hybrid fluid-flow aggregation gates: (a) the aggregate modes must
@@ -810,19 +745,15 @@ let traffic () =
     (row, Simkit.Engine.domain_events_processed () - ev0, wall)
   in
   pf "fig7-shaped cell (warm reboot at t=20 s), 10 clients, seed 7:@.";
-  pf "%-12s %10s %9s %10s %10s %12s@." "mode" "steady-rps" "outage-s"
-    "completed" "failed" "sim-events";
   let small =
     List.map
       (fun mode ->
-        let (row : Rejuv.Experiment.traffic_row), events, _ = cell mode in
-        pf "%-12s %10.1f %9.1f %10d %10d %12d@."
-          (Netsim.Fluid.mode_name mode)
-          row.tw_steady_rps row.tw_outage_s row.tw_completed row.tw_failed
-          events;
+        let row, events, _ = cell mode in
+        pf "%s: %d sim events@." (Netsim.Fluid.mode_name mode) events;
         (mode, row))
       [ Netsim.Fluid.Per_request; Netsim.Fluid.Fluid; Netsim.Fluid.Hybrid ]
   in
+  pf "%a" Result.pp (Result.Traffic (List.map snd small));
   let pr : Rejuv.Experiment.traffic_row =
     List.assoc Netsim.Fluid.Per_request small
   in

@@ -22,290 +22,7 @@ let verbose_arg =
 
 let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) term
 
-let run_spec id params = (Spec.find_exn id).Spec.run params
-
-(* --- printing -------------------------------------------------------------- *)
-
-let print_task_times rows ~x_label =
-  pf "%-6s %12s %12s %12s %12s %12s %12s@." x_label "onmem-susp" "onmem-res"
-    "xen-save" "xen-restore" "shutdown" "boot";
-  List.iter
-    (fun (r : Experiment.task_times) ->
-      pf "%-6d %12.2f %12.2f %12.2f %12.2f %12.2f %12.2f@." r.x
-        r.onmem_suspend_s r.onmem_resume_s r.xen_save_s r.xen_restore_s
-        r.shutdown_s r.boot_s)
-    rows
-
-let print_fig6 rows =
-  pf "%-6s %10s %10s %10s@." "VMs" "warm" "saved" "cold";
-  List.iter
-    (fun (r : Experiment.fig6_row) ->
-      pf "%-6d %10.1f %10.1f %10.1f@." r.n r.warm_downtime_s
-        r.saved_downtime_s r.cold_downtime_s)
-    rows
-
-let print_availability rows =
-  List.iter
-    (fun (s, a) ->
-      pf "%-16s %a (%d nines)@." (Rejuv.Strategy.name s)
-        Rejuv.Availability.pp_percent a
-        (Rejuv.Availability.nines a))
-    rows
-
-let print_fleet reports =
-  pf "%-8s %6s %6s %5s %6s %10s %8s %8s %7s %7s %5s@." "strategy" "hosts"
-    "width" "waves" "floor" "makespan-s" "offered" "lost" "loss-%" "min-up"
-    "slo";
-  List.iter
-    (fun (r : Rejuv.Fleet.report) ->
-      pf "%-8s %6d %6d %5d %6d %10.1f %8d %8d %7.2f %7d %5s%s@."
-        (Rejuv.Wave.strategy_id r.fr_strategy)
-        r.hosts r.wave_width (List.length r.waves) r.slo_floor r.makespan_s
-        r.offered r.lost
-        (100.0 *. r.loss_ratio)
-        r.min_healthy
-        (if r.slo_met then "met" else "MISS")
-        (match r.skipped with
-        | [] -> ""
-        | s -> Printf.sprintf "  (%d skipped)" (List.length s)))
-    reports
-
-let print_timeline series =
-  List.iter
-    (fun (name, tl) ->
-      pf "# %s@." name;
-      List.iter (fun (t, v) -> pf "%8.0f %8.2f@." t v) tl)
-    series
-
-(* Generic human rendering, used by `sweep` for whatever was batched. *)
-let print_result id = function
-  | Result.Task_times rows ->
-    pf "# %s@." id;
-    print_task_times rows ~x_label:"x"
-  | Result.Fig6 rows ->
-    pf "# %s@." id;
-    print_fig6 rows
-  | Result.Reload r ->
-    pf "# %s@.quick reload %.1f s, hardware reset %.1f s@." id
-      r.quick_reload_s r.hardware_reset_s
-  | Result.Fig7 r ->
-    pf "# %s (%a): reboot at t=%.0f s, %d throughput windows@." id
-      Rejuv.Strategy.pp r.f7_strategy r.reboot_command_at
-      (List.length r.throughput)
-  | Result.Before_after r ->
-    pf "# %s@.before %.1f/%.1f after %.1f/%.1f  degradation %.0f%%@." id
-      r.first_before r.second_before r.first_after r.second_after
-      (100.0 *. r.degradation)
-  | Result.Availability rows ->
-    pf "# %s@." id;
-    print_availability rows
-  | Result.Fits f ->
-    pf "# %s@.%a" id Rejuv.Downtime_model.pp f
-  | Result.Timeline series ->
-    pf "# %s@." id;
-    print_timeline series
-  | Result.Scalar { label; value } -> pf "# %s@.%s = %.2f@." id label value
-  | Result.Fault_matrix cells ->
-    pf "# %s@." id;
-    pf "%-8s %-20s %5s %9s %-9s %7s %5s %8s@." "strategy" "site" "fired"
-      "recovered" "completed" "retries" "lost" "extra-s";
-    List.iter
-      (fun (c : Rejuv.Fault_matrix.cell) ->
-        pf "%-8s %-20s %5d %9b %-9s %7d %5d %8.1f@."
-          (Rejuv.Strategy.id c.fm_strategy)
-          c.fm_site c.injected c.recovered
-          (Rejuv.Strategy.id c.completed)
-          c.retries c.domains_lost c.extra_downtime_s)
-      cells
-  | Result.Fleet reports ->
-    pf "# %s@." id;
-    print_fleet reports
-  | Result.Elastic rows ->
-    pf "# %s@." id;
-    pf "%-16s %6s %-8s %10s %10s %10s@." "memdyn" "ws" "disk" "downtime-s"
-      "image-MiB" "lag-s";
-    List.iter
-      (fun (r : Experiment.elastic_row) ->
-        pf "%-16s %6.2f %-8s %10.2f %10.1f %10.2f@."
-          (Mem.Memdyn.mode_name r.er_mode)
-          r.er_working_set r.er_disk r.er_downtime_s r.er_image_mib
-          r.er_restore_lag_s)
-      rows
-  | Result.Traffic rows ->
-    pf "# %s@." id;
-    pf "%-12s %9s %-8s %10s %8s %10s %10s %8s@." "traffic" "clients"
-      "strategy" "steady-rps" "outage-s" "completed" "failed" "tracer";
-    List.iter
-      (fun (r : Experiment.traffic_row) ->
-        pf "%-12s %9d %-8s %10.1f %8.1f %10d %10d %8d@."
-          (Netsim.Fluid.mode_name r.tw_mode)
-          r.tw_clients
-          (Rejuv.Strategy.id r.tw_strategy)
-          r.tw_steady_rps r.tw_outage_s r.tw_completed r.tw_failed
-          r.tw_tracer_requests)
-      rows
-
-(* --- figure commands -------------------------------------------------------- *)
-
-let fig4_cmd =
-  let run verbose csv json =
-    setup_logs verbose;
-    match run_spec "fig4" Spec.default_params with
-    | Result.Task_times rows as r ->
-      print_task_times rows ~x_label:"GiB";
-      Cli_args.export ~csv ~json [ ("fig4", r) ]
-    | _ -> assert false
-  in
-  cmd "fig4" ~doc:"Task times vs memory size of one VM"
-    Term.(const run $ verbose_arg $ Cli_args.csv_arg $ Cli_args.json_arg)
-
-let fig5_cmd =
-  let run verbose csv json =
-    setup_logs verbose;
-    match run_spec "fig5" Spec.default_params with
-    | Result.Task_times rows as r ->
-      print_task_times rows ~x_label:"VMs";
-      Cli_args.export ~csv ~json [ ("fig5", r) ]
-    | _ -> assert false
-  in
-  cmd "fig5" ~doc:"Task times vs number of VMs"
-    Term.(const run $ verbose_arg $ Cli_args.csv_arg $ Cli_args.json_arg)
-
-let reload_cmd =
-  let run verbose csv json =
-    setup_logs verbose;
-    match run_spec "quick_reload" Spec.default_params with
-    | Result.Reload r as res ->
-      pf "quick reload:   %6.1f s (paper: 11 s)@." r.quick_reload_s;
-      pf "hardware reset: %6.1f s (paper: 59 s)@." r.hardware_reset_s;
-      Cli_args.export ~csv ~json [ ("quick_reload", res) ]
-    | _ -> assert false
-  in
-  cmd "reload" ~doc:"Section 5.2: effect of quick reload"
-    Term.(const run $ verbose_arg $ Cli_args.csv_arg $ Cli_args.json_arg)
-
-let fig6_cmd =
-  let run verbose workload csv json =
-    setup_logs verbose;
-    match run_spec "fig6" { Spec.default_params with workload } with
-    | Result.Fig6 rows as r ->
-      print_fig6 rows;
-      Cli_args.export ~csv ~json [ ("fig6", r) ]
-    | _ -> assert false
-  in
-  cmd "fig6" ~doc:"Downtime of networked services"
-    Term.(
-      const run $ verbose_arg $ Cli_args.workload_arg $ Cli_args.csv_arg
-      $ Cli_args.json_arg)
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write the run's operation timeline as a Chrome trace \
-           (chrome://tracing, ui.perfetto.dev) to $(docv)")
-
-let fig7_cmd =
-  let run verbose strategy csv json trace =
-    setup_logs verbose;
-    match run_spec "fig7" { Spec.default_params with strategy } with
-    | Result.Fig7 r as res ->
-      Option.iter
-        (fun path -> Cli_args.write_file path r.Experiment.chrome_trace_json)
-        trace;
-      pf "# %a; reboot command at t=%.0f s@." Rejuv.Strategy.pp r.f7_strategy
-        r.reboot_command_at;
-      (match (r.web_down_at, r.web_up_at) with
-      | Some d, Some u -> pf "# web server down %.1f .. %.1f s@." d u
-      | _ -> ());
-      List.iter
-        (fun (l, a, b) -> pf "# span %-28s %8.1f .. %8.1f@." l a b)
-        r.f7_spans;
-      List.iter (fun (t, v) -> pf "%8.1f %10.1f@." t v) r.throughput;
-      Cli_args.export ~csv ~json [ ("fig7", res) ]
-    | _ -> assert false
-  in
-  cmd "fig7" ~doc:"Throughput timeline during the reboot"
-    Term.(
-      const run $ verbose_arg $ Cli_args.strategy_arg $ Cli_args.csv_arg
-      $ Cli_args.json_arg $ trace_arg)
-
-let fig8_cmd =
-  let run verbose strategy csv json =
-    setup_logs verbose;
-    let params = { Spec.default_params with strategy } in
-    match (run_spec "fig8_file" params, run_spec "fig8_web" params) with
-    | (Result.Before_after file as rf), (Result.Before_after web as rw) ->
-      pf
-        "file read (MiB/s): before %.0f/%.0f after %.0f/%.0f  degradation \
-         %.0f%%@."
-        file.first_before file.second_before file.first_after
-        file.second_after
-        (100.0 *. file.degradation);
-      pf
-        "web (req/s):       before %.0f/%.0f after %.0f/%.0f  degradation \
-         %.0f%%@."
-        web.first_before web.second_before web.first_after web.second_after
-        (100.0 *. web.degradation);
-      Cli_args.export ~csv ~json [ ("fig8_file", rf); ("fig8_web", rw) ]
-    | _ -> assert false
-  in
-  cmd "fig8" ~doc:"Throughput before/after the reboot"
-    Term.(
-      const run $ verbose_arg $ Cli_args.strategy_arg $ Cli_args.csv_arg
-      $ Cli_args.json_arg)
-
-let fits_cmd =
-  let run verbose csv json =
-    setup_logs verbose;
-    match run_spec "section_5_6_fits" Spec.default_params with
-    | Result.Fits f as r ->
-      pf "%a" Rejuv.Downtime_model.pp f;
-      Cli_args.export ~csv ~json [ ("section_5_6_fits", r) ]
-    | _ -> assert false
-  in
-  cmd "fits" ~doc:"Section 5.6: fitted downtime model"
-    Term.(const run $ verbose_arg $ Cli_args.csv_arg $ Cli_args.json_arg)
-
-let avail_cmd =
-  let run verbose csv json =
-    setup_logs verbose;
-    (match run_spec "os_rejuvenation" Spec.default_params with
-    | Result.Scalar { value; _ } ->
-      pf "OS rejuvenation downtime: %.1f s (paper: 33.6 s)@." value
-    | _ -> assert false);
-    match run_spec "availability" Spec.default_params with
-    | Result.Availability rows as r ->
-      print_availability rows;
-      Cli_args.export ~csv ~json [ ("availability", r) ]
-    | _ -> assert false
-  in
-  cmd "avail" ~doc:"Section 5.3: availability"
-    Term.(const run $ verbose_arg $ Cli_args.csv_arg $ Cli_args.json_arg)
-
-let fig9_cmd =
-  let run verbose csv json =
-    setup_logs verbose;
-    match run_spec "fig9" Spec.default_params with
-    | Result.Timeline series as r ->
-      let p = Rejuv.Cluster.paper_params () in
-      let horizon = 2400.0 in
-      List.iter
-        (fun (name, tl) ->
-          pf "# %s@." name;
-          List.iter (fun (t, v) -> pf "%8.0f %8.2f@." t v) tl;
-          pf "# lost capacity over %.0f s: %.1f host-seconds@." horizon
-            (Rejuv.Cluster.lost_capacity p tl ~horizon_s:horizon))
-        series;
-      Cli_args.export ~csv ~json [ ("fig9", r) ]
-    | _ -> assert false
-  in
-  cmd "fig9" ~doc:"Cluster throughput model"
-    Term.(const run $ verbose_arg $ Cli_args.csv_arg $ Cli_args.json_arg)
-
-(* --- running by registry id -------------------------------------------------- *)
+(* --- running registered experiments -------------------------------------- *)
 
 let experiment_conv =
   let parse s =
@@ -319,54 +36,127 @@ let experiment_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* Rejects a repeated id before anything runs: its rows would be
+   produced twice and exported under one key twice. *)
+let distinct_ids ids_arg =
+  let check ids =
+    match
+      List.find_opt
+        (fun id -> List.length (List.filter (String.equal id) ids) > 1)
+        ids
+    with
+    | Some id -> `Error (false, Printf.sprintf "experiment %s is given twice" id)
+    | None -> `Ok ids
+  in
+  Term.(ret (const check $ ids_arg))
+
+(* The experiment params both `run` and `sweep` take from flags. *)
+let params_term =
+  let params partitions strategy workload memdyn traffic clients =
+    {
+      Spec.default_params with
+      partitions;
+      strategy;
+      workload;
+      memdyn;
+      traffic;
+      clients;
+    }
+  in
+  Term.(
+    const params $ Cli_args.partitions_arg $ Cli_args.strategy_arg
+    $ Cli_args.workload_arg $ Cli_args.memdyn_arg $ Cli_args.traffic_arg
+    $ Cli_args.clients_arg)
+
+let smoke_arg =
+  Arg.(
+    value & flag
+    & info [ "smoke" ]
+        ~doc:
+          "Shrink each of the four grids (fault_matrix, fleet_rolling, \
+           elastic_restore, elastic_traffic) to a single small cell, for CI")
+
+let trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Write fig7's operation timeline as a Chrome trace \
+           (chrome://tracing, ui.perfetto.dev) to $(docv); needs fig7 \
+           among the experiments")
+
+(* `run`'s term, over any source of ids: the positional arguments for
+   `run` itself, a constant list for each figure alias. *)
+let run_term ids =
+  let run verbose ids params smoke queue csv json metrics trace =
+    if Option.is_some trace && not (List.mem "fig7" ids) then
+      `Error (false, "--trace needs fig7 among the experiments")
+    else begin
+      setup_logs verbose;
+      Option.iter Simkit.Engine.set_default_queue queue;
+      (* Fresh ambient registry so --metrics reports this run only. *)
+      let registry = Obs.reset_ambient () in
+      let params = { params with Spec.smoke } in
+      let results =
+        List.map
+          (fun id ->
+            let r = Experiment.run ~params id in
+            pf "# %s@.%a" id Result.pp r;
+            (id, r))
+          ids
+      in
+      Option.iter
+        (fun path ->
+          match List.assoc "fig7" results with
+          | Result.Fig7 r -> Cli_args.write_file path r.chrome_trace_json
+          | _ -> assert false)
+        trace;
+      Cli_args.export ~csv ~json results;
+      Cli_args.print_metrics ~registry metrics;
+      `Ok ()
+    end
+  in
+  Term.(
+    ret
+      (const run $ verbose_arg $ ids $ params_term $ smoke_arg
+      $ Cli_args.queue_arg $ Cli_args.csv_arg $ Cli_args.json_arg
+      $ Cli_args.metrics_arg $ trace_arg))
+
 let run_cmd =
-  let id_arg =
+  let ids_arg =
     Arg.(
-      required
-      & pos 0 (some experiment_conv) None
+      non_empty
+      & pos_all experiment_conv []
       & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "A registered experiment id (`roothammer list` shows all of \
-             them)")
+            "Registered experiment ids, run in the order given \
+             (`roothammer list` shows all of them)")
   in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Shrink the run for CI: fault_matrix runs a single cell \
-             (warm x xend.resume) and fleet_rolling a single small warm \
-             cell instead of the full grid")
-  in
-  let run verbose id smoke partitions queue strategy workload memdyn traffic
-      clients csv json metrics =
-    setup_logs verbose;
-    Option.iter Simkit.Engine.set_default_queue queue;
-    (* Fresh ambient registry so --metrics reports this run only. *)
-    let registry = Obs.reset_ambient () in
-    let params =
-      {
-        Spec.default_params with
-        smoke;
-        partitions;
-        strategy;
-        workload;
-        memdyn;
-        traffic;
-        clients;
-      }
-    in
-    let r = run_spec id params in
-    print_result id r;
-    Cli_args.export ~csv ~json [ (id, r) ];
-    Cli_args.print_metrics ~registry metrics
-  in
-  cmd "run" ~doc:"Run any registered experiment by id"
-    Term.(
-      const run $ verbose_arg $ id_arg $ smoke_arg $ Cli_args.partitions_arg
-      $ Cli_args.queue_arg $ Cli_args.strategy_arg $ Cli_args.workload_arg
-      $ Cli_args.memdyn_arg $ Cli_args.traffic_arg $ Cli_args.clients_arg
-      $ Cli_args.csv_arg $ Cli_args.json_arg $ Cli_args.metrics_arg)
+  cmd "run" ~doc:"Run registered experiments by id"
+    (run_term (distinct_ids ids_arg))
+
+(* The paper's figure commands: each is `run` over fixed ids. *)
+let alias name ids ~doc =
+  cmd name
+    ~doc:(Printf.sprintf "%s (run %s)" doc (String.concat " " ids))
+    (run_term (Term.const ids))
+
+let figure_cmds =
+  [
+    alias "fig4" [ "fig4" ] ~doc:"Task times vs memory size of one VM";
+    alias "fig5" [ "fig5" ] ~doc:"Task times vs number of VMs";
+    alias "reload" [ "quick_reload" ] ~doc:"Section 5.2: effect of quick reload";
+    alias "fig6" [ "fig6" ] ~doc:"Downtime of networked services";
+    alias "fig7" [ "fig7" ] ~doc:"Throughput timeline during the reboot";
+    alias "fig8" [ "fig8_file"; "fig8_web" ]
+      ~doc:"Throughput before/after the reboot";
+    alias "fits" [ "section_5_6_fits" ]
+      ~doc:"Section 5.6: fitted downtime model";
+    alias "avail" [ "os_rejuvenation"; "availability" ]
+      ~doc:"Section 5.3: availability";
+    alias "fig9" [ "fig9" ] ~doc:"Cluster throughput model";
+  ]
 
 (* --- the parallel sweep ----------------------------------------------------- *)
 
@@ -399,7 +189,7 @@ let sweep_cmd =
       value & flag
       & info [ "verify" ]
           ~doc:
-            "After the parallel pass, re-run one shard sequentially and \
+            "After the parallel pass, re-run one cell sequentially and \
              assert its bytes match (isolation check)")
   in
   let quiet_results_arg =
@@ -407,24 +197,13 @@ let sweep_cmd =
       value & flag
       & info [ "metrics-only" ] ~doc:"Print runner metrics but not the data")
   in
-  let run verbose ids jobs partitions workload strategy memdyn traffic clients
-      cache_dir no_cache verify quiet_results csv json metrics_out =
+  (* partitions is intra-run parallelism (shards of one fleet cell);
+     jobs is inter-run parallelism (cells at once). They multiply, so
+     crank one at a time. *)
+  let run verbose ids jobs params cache_dir no_cache verify quiet_results csv
+      json metrics_out =
     setup_logs verbose;
     let registry = Obs.reset_ambient () in
-    (* partitions is intra-run parallelism (shards of one fleet cell);
-       jobs is inter-run parallelism (cells at once). They multiply, so
-       crank one at a time. *)
-    let params =
-      {
-        Spec.default_params with
-        workload;
-        strategy;
-        partitions;
-        memdyn;
-        traffic;
-        clients;
-      }
-    in
     let cache =
       if no_cache then None else Some (Runner.Cache.create ?dir:cache_dir ())
     in
@@ -465,7 +244,7 @@ let sweep_cmd =
         pf "# %s FAULTED: %s@." id (Simkit.Fault.to_string f))
       faulted;
     if not quiet_results then
-      List.iter (fun (id, r) -> print_result id r) ok;
+      List.iter (fun (id, r) -> pf "# %s@.%a" id Result.pp r) ok;
     Cli_args.export ~csv ~json ok;
     (* Runner-level observability: per-run wall-time histogram, cache
        hit rate and shard utilization for this batch. (The simulations
@@ -483,10 +262,8 @@ let sweep_cmd =
       "Run a batch of registered experiments in parallel across CPU cores, \
        with an on-disk result cache"
     Term.(
-      const run $ verbose_arg $ ids_arg $ Cli_args.jobs_arg
-      $ Cli_args.partitions_arg $ Cli_args.workload_arg
-      $ Cli_args.strategy_arg $ Cli_args.memdyn_arg $ Cli_args.traffic_arg
-      $ Cli_args.clients_arg $ cache_dir_arg $ no_cache_arg $ verify_arg
+      const run $ verbose_arg $ distinct_ids ids_arg $ Cli_args.jobs_arg
+      $ params_term $ cache_dir_arg $ no_cache_arg $ verify_arg
       $ quiet_results_arg $ Cli_args.csv_arg $ Cli_args.json_arg
       $ Cli_args.metrics_out_arg)
 
@@ -625,20 +402,9 @@ let fleet_cmd =
       value & opt float 200.0
       & info [ "load" ] ~doc:"Poisson client stream, requests per second")
   in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Shrink the pass for CI: a 12-host fleet in waves of 3 under \
-             50 req/s, overriding --hosts/--wave-width/--load")
-  in
-  let run verbose hosts width slo load partitions smoke wave_strategy memdyn
-      traffic blind_dispatch metrics =
+  let run verbose hosts width slo load partitions wave_strategy memdyn traffic
+      blind_dispatch metrics =
     setup_logs verbose;
-    let hosts = if smoke then 12 else hosts in
-    let width = if smoke then 3 else width in
-    let load = if smoke then 50.0 else load in
     let registry = Obs.reset_ambient () in
     let traffic_cfg =
       match traffic with
@@ -674,7 +440,7 @@ let fleet_cmd =
       (Rejuv.Wave.strategy_id strategy)
       width load;
     let r = Rejuv.Fleet.run fleet ~strategy in
-    print_fleet [ r ];
+    pf "%a" Result.pp (Result.Fleet [ r ]);
     Cli_args.print_metrics ~registry metrics
   in
   cmd "fleet"
@@ -683,7 +449,7 @@ let fleet_cmd =
        warm/saved/cold/migrate)"
     Term.(
       const run $ verbose_arg $ hosts_arg $ width_arg $ slo_arg $ load_arg
-      $ Cli_args.partitions_arg $ smoke_arg $ Cli_args.wave_strategy_arg
+      $ Cli_args.partitions_arg $ Cli_args.wave_strategy_arg
       $ Cli_args.memdyn_arg $ Cli_args.traffic_arg $ blind_dispatch_arg
       $ Cli_args.metrics_arg)
 
@@ -710,8 +476,8 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [
-            fig4_cmd; fig5_cmd; reload_cmd; fig6_cmd; fig7_cmd; fig8_cmd;
-            fits_cmd; avail_cmd; fig9_cmd; run_cmd; sweep_cmd; list_cmd;
-            migrate_cmd; schedule_cmd; cluster_cmd; fleet_cmd; report_cmd;
-          ]))
+          (figure_cmds
+          @ [
+              run_cmd; sweep_cmd; list_cmd; migrate_cmd; schedule_cmd;
+              cluster_cmd; fleet_cmd; report_cmd;
+            ])))

@@ -170,27 +170,14 @@ let task_times_of_runs ~x ~(warm : reboot_run) ~(saved : reboot_run)
     boot_s = cold.post_task_s;
   }
 
-let fig4 ?(mem_gib = [ 1; 3; 5; 7; 9; 11 ]) ?memdyn () =
-  List.map
-    (fun gib ->
-      let run strategy =
-        run_reboot ?memdyn ~strategy ~vm_count:1
-          ~vm_mem_bytes:(Simkit.Units.gib gib) ()
-      in
-      task_times_of_runs ~x:gib ~warm:(run Strategy.Warm)
-        ~saved:(run Strategy.Saved) ~cold:(run Strategy.Cold))
-    mem_gib
-
-let fig5 ?(vm_counts = [ 1; 3; 5; 7; 9; 11 ]) ?memdyn () =
-  List.map
-    (fun n ->
-      let run strategy =
-        run_reboot ?memdyn ~strategy ~vm_count:n
-          ~vm_mem_bytes:(Simkit.Units.gib 1) ()
-      in
-      task_times_of_runs ~x:n ~warm:(run Strategy.Warm)
-        ~saved:(run Strategy.Saved) ~cold:(run Strategy.Cold))
-    vm_counts
+(* One point of Figure 4 or 5: the same testbed rebooted warm, saved
+   and cold. *)
+let task_times_at ?memdyn ~x ~vm_count ~vm_mem_bytes () =
+  let run strategy =
+    run_reboot ?memdyn ~strategy ~vm_count ~vm_mem_bytes ()
+  in
+  task_times_of_runs ~x ~warm:(run Strategy.Warm) ~saved:(run Strategy.Saved)
+    ~cold:(run Strategy.Cold)
 
 (* --- Section 5.2 -------------------------------------------------------- *)
 
@@ -610,29 +597,16 @@ type elastic_row = {
    1 GiB under the saved-reboot strategy isolates the image-size and
    restore-path effects; the 2007 HDD vs modern NVMe axis shows where
    streaming stops mattering. *)
-let elastic_cell_key (mode, ws, (disk_name, _)) =
-  Printf.sprintf "m=%s/ws=%03d/d=%s"
-    (Mem.Memdyn.mode_name mode)
-    (int_of_float ((ws *. 100.0) +. 0.5))
-    disk_name
-
-let elastic_grid ~smoke ~cell =
+let elastic_grid ~smoke =
   let disks = [ ("hdd2007", Calibration.default); ("nvme", Calibration.modern) ] in
-  let all =
+  if smoke then [ (Mem.Memdyn.Stream, 0.35, ("hdd2007", Calibration.default)) ]
+  else
     List.concat_map
       (fun mode ->
         List.concat_map
           (fun ws -> List.map (fun d -> (mode, ws, d)) disks)
           [ 0.2; 0.35; 0.6 ])
       [ Mem.Memdyn.Off; Mem.Memdyn.Stream; Mem.Memdyn.Balloon_stream ]
-  in
-  match cell with
-  | Some key ->
-    List.filter (fun c -> String.equal (elastic_cell_key c) key) all
-  | None ->
-    if smoke then
-      [ (Mem.Memdyn.Stream, 0.35, ("hdd2007", Calibration.default)) ]
-    else all
 
 let run_elastic_cell ?seed ~workload (mode, ws, (disk_name, calibration)) =
   let memdyn =
@@ -675,12 +649,7 @@ type traffic_row = {
    cells stop at 1000 clients — past that, per-request simulation is
    exactly the cost this subsystem exists to avoid; fluid and hybrid
    cells run the same populations and beyond at O(epochs). *)
-let traffic_cell_key (mode, clients, strategy) =
-  Printf.sprintf "m=%s/c=%07d/s=%s"
-    (Netsim.Fluid.mode_name mode)
-    clients (Strategy.id strategy)
-
-let traffic_grid ~smoke ~cell ~mode ~clients =
+let traffic_grid ~smoke ~mode ~clients =
   let modes =
     match mode with
     | Some m -> [ m ]
@@ -688,7 +657,8 @@ let traffic_grid ~smoke ~cell ~mode ~clients =
   in
   let counts = Option.value clients ~default:[ 10; 1000; 100_000 ] in
   let strategies = [ Strategy.Warm; Strategy.Cold ] in
-  let all =
+  if smoke then [ (Netsim.Fluid.Hybrid, 1000, Strategy.Warm) ]
+  else
     List.concat_map
       (fun m ->
         List.concat_map
@@ -700,12 +670,6 @@ let traffic_grid ~smoke ~cell ~mode ~clients =
               strategies)
           counts)
       modes
-  in
-  match cell with
-  | Some key ->
-    List.filter (fun c -> String.equal (traffic_cell_key c) key) all
-  | None ->
-    if smoke then [ (Netsim.Fluid.Hybrid, 1000, Strategy.Warm) ] else all
 
 let run_traffic_cell ?seed (mode, clients, strategy) =
   let workload =
@@ -1133,7 +1097,106 @@ module Result = struct
             ])
           rows )
 
-  (* Shard results of one experiment concatenate; scalar-like results
+  let pp ppf t =
+    let pf fmt = Format.fprintf ppf fmt in
+    match t with
+    | Task_times rows ->
+      pf "%-6s %12s %12s %12s %12s %12s %12s@." "x" "onmem-susp" "onmem-res"
+        "xen-save" "xen-restore" "shutdown" "boot";
+      List.iter
+        (fun (r : task_times) ->
+          pf "%-6d %12.2f %12.2f %12.2f %12.2f %12.2f %12.2f@." r.x
+            r.onmem_suspend_s r.onmem_resume_s r.xen_save_s r.xen_restore_s
+            r.shutdown_s r.boot_s)
+        rows
+    | Reload r ->
+      pf "quick reload %.1f s, hardware reset %.1f s@." r.quick_reload_s
+        r.hardware_reset_s
+    | Fig6 rows ->
+      pf "%-6s %10s %10s %10s@." "VMs" "warm" "saved" "cold";
+      List.iter
+        (fun (r : fig6_row) ->
+          pf "%-6d %10.1f %10.1f %10.1f@." r.n r.warm_downtime_s
+            r.saved_downtime_s r.cold_downtime_s)
+        rows
+    | Fig7 r ->
+      pf "%a: reboot command at t=%.0f s, %d throughput windows@." Strategy.pp
+        r.f7_strategy r.reboot_command_at
+        (List.length r.throughput);
+      (match (r.web_down_at, r.web_up_at) with
+      | Some d, Some u ->
+        pf "web server down %.1f .. %.1f s (outage %.1f s)@." d u (u -. d)
+      | _ -> pf "web server never observed down@.");
+      List.iter
+        (fun (l, a, b) -> pf "span %-28s %8.1f .. %8.1f s@." l a b)
+        r.f7_spans
+    | Before_after r ->
+      pf "before %.1f/%.1f after %.1f/%.1f  degradation %.0f%%@."
+        r.first_before r.second_before r.first_after r.second_after
+        (100.0 *. r.degradation)
+    | Availability rows ->
+      List.iter
+        (fun (s, a) ->
+          pf "%-16s %a (%d nines)@." (Strategy.name s) Availability.pp_percent
+            a (Availability.nines a))
+        rows
+    | Fits f -> Downtime_model.pp ppf f
+    | Timeline series ->
+      List.iter
+        (fun (name, tl) ->
+          pf "%s:@." name;
+          List.iter (fun (t, v) -> pf "%8.0f %8.2f@." t v) tl)
+        series
+    | Scalar { label; value } -> pf "%s = %.2f@." label value
+    | Fault_matrix cells ->
+      pf "%-8s %-20s %5s %9s %-9s %7s %5s %8s@." "strategy" "site" "fired"
+        "recovered" "completed" "retries" "lost" "extra-s";
+      List.iter
+        (fun (c : Fault_matrix.cell) ->
+          pf "%-8s %-20s %5d %9b %-9s %7d %5d %8.1f@."
+            (Strategy.id c.fm_strategy) c.fm_site c.injected c.recovered
+            (Strategy.id c.completed) c.retries c.domains_lost
+            c.extra_downtime_s)
+        cells
+    | Fleet reports ->
+      pf "%-8s %6s %6s %5s %6s %10s %8s %8s %7s %7s %5s@." "strategy" "hosts"
+        "width" "waves" "floor" "makespan-s" "offered" "lost" "loss-%"
+        "min-up" "slo";
+      List.iter
+        (fun (r : Fleet.report) ->
+          pf "%-8s %6d %6d %5d %6d %10.1f %8d %8d %7.2f %7d %5s%s@."
+            (Wave.strategy_id r.fr_strategy)
+            r.hosts r.wave_width (List.length r.waves) r.slo_floor r.makespan_s
+            r.offered r.lost
+            (100.0 *. r.loss_ratio)
+            r.min_healthy
+            (if r.slo_met then "met" else "MISS")
+            (match r.skipped with
+            | [] -> ""
+            | s -> Printf.sprintf "  (%d skipped)" (List.length s)))
+        reports
+    | Elastic rows ->
+      pf "%-16s %6s %-8s %10s %10s %10s@." "memdyn" "ws" "disk" "downtime-s"
+        "image-MiB" "lag-s";
+      List.iter
+        (fun (r : elastic_row) ->
+          pf "%-16s %6.2f %-8s %10.2f %10.1f %10.2f@."
+            (Mem.Memdyn.mode_name r.er_mode)
+            r.er_working_set r.er_disk r.er_downtime_s r.er_image_mib
+            r.er_restore_lag_s)
+        rows
+    | Traffic rows ->
+      pf "%-12s %9s %-8s %10s %8s %10s %10s %8s@." "traffic" "clients"
+        "strategy" "steady-rps" "outage-s" "completed" "failed" "tracer";
+      List.iter
+        (fun (r : traffic_row) ->
+          pf "%-12s %9d %-8s %10.1f %8.1f %10d %10d %8d@."
+            (Netsim.Fluid.mode_name r.tw_mode)
+            r.tw_clients (Strategy.id r.tw_strategy) r.tw_steady_rps
+            r.tw_outage_s r.tw_completed r.tw_failed r.tw_tracer_requests)
+        rows
+
+  (* Cell results of one experiment concatenate; scalar-like results
      only "merge" when the batch produced exactly one of them. *)
   let merge = function
     | [] -> invalid_arg "Experiment.Result.merge: empty"
@@ -1165,23 +1228,15 @@ module Spec = struct
     strategy : Strategy.t;
     vm_counts : int list option;
     mem_gib : int list option;
-    site : string option;
     smoke : bool;
-    fleet_hosts : int list option;
-    wave_widths : int list option;
-    wave_strategy : Wave.strategy option;
-    slo : float;
     partitions : int;
         (* shards a fleet cell runs on. Deliberately absent from
            [params_key]: a fleet run is byte-identical for every
            partition count (that invariant is test-gated), so the
            sweep cache may serve a cell computed at any partitioning. *)
     memdyn : Mem.Memdyn.mode;
-        (* memory-dynamics mode for fig4 / fig5 / fleet_rolling; the
-           other knobs stay at [Mem.Memdyn.default]. *)
-    cell : string option;
-        (* pins [elastic_restore] / [elastic_traffic] to one grid cell
-           (the shard key suffix); [None] = the full grid. *)
+        (* memory-dynamics mode for fig4 / fig5 / fig6 / fleet_rolling;
+           the other knobs stay at [Mem.Memdyn.default]. *)
     traffic : Netsim.Fluid.mode option;
         (* traffic model for [elastic_traffic] / [fleet_rolling];
            [None] = the experiment's own default axis. *)
@@ -1196,15 +1251,9 @@ module Spec = struct
       strategy = Strategy.Warm;
       vm_counts = None;
       mem_gib = None;
-      site = None;
       smoke = false;
-      fleet_hosts = None;
-      wave_widths = None;
-      wave_strategy = None;
-      slo = 0.75;
       partitions = 1;
       memdyn = Mem.Memdyn.Off;
-      cell = None;
       traffic = None;
       clients = None;
     }
@@ -1215,26 +1264,19 @@ module Spec = struct
 
   let params_key p =
     Printf.sprintf
-      "seed=%d;workload=%s;strategy=%s;vm_counts=%s;mem_gib=%s;site=%s;smoke=%b;fleet_hosts=%s;wave_widths=%s;wave_strategy=%s;slo=%g;memdyn=%s;cell=%s;traffic=%s;clients=%s"
+      "seed=%d;workload=%s;strategy=%s;vm_counts=%s;mem_gib=%s;smoke=%b;memdyn=%s;traffic=%s;clients=%s"
       p.seed
       (Scenario.workload_name p.workload)
       (Strategy.id p.strategy) (ints_key p.vm_counts) (ints_key p.mem_gib)
-      (Option.value p.site ~default:"none")
       p.smoke
-      (ints_key p.fleet_hosts)
-      (ints_key p.wave_widths)
-      (Option.fold ~none:"default" ~some:Wave.strategy_id p.wave_strategy)
-      p.slo
       (Mem.Memdyn.mode_name p.memdyn)
-      (Option.value p.cell ~default:"none")
       (Option.fold ~none:"default" ~some:Netsim.Fluid.mode_name p.traffic)
       (ints_key p.clients)
 
   type nonrec t = {
     id : string;
     doc : string;
-    shards : params -> (string * params) list;
-    run : params -> Result.t;
+    cells : params -> (string * (unit -> Result.t)) list;
   }
 
   let registry : (string, t) Hashtbl.t = Hashtbl.create 16 (* simlint: allow D011 populated once at module init; read-only during runs *)
@@ -1264,30 +1306,16 @@ end
 let default_sweep_counts = [ 1; 3; 5; 7; 9; 11 ]
 
 (* The fleet grid: fleet size x wave width x wave strategy. [smoke]
-   shrinks it to one small warm cell for CI; pinned params (from a
-   shard, or a CLI override) shrink the corresponding axis. *)
-let fleet_grid (p : Spec.params) =
-  let hosts =
-    if p.Spec.smoke then [ 12 ]
-    else Option.value p.Spec.fleet_hosts ~default:[ 50; 200 ]
-  in
-  let widths =
-    if p.Spec.smoke then [ 3 ]
-    else Option.value p.Spec.wave_widths ~default:[ 4; 16 ]
-  in
-  let strategies =
-    if p.Spec.smoke then [ Wave.Reboot Strategy.Warm ]
-    else
-      match p.Spec.wave_strategy with
-      | Some s -> [ s ]
-      | None -> Wave.all_strategies
-  in
-  List.concat_map
-    (fun h ->
-      List.concat_map
-        (fun w -> List.map (fun s -> (h, w, s)) strategies)
-        widths)
-    hosts
+   shrinks it to one small warm cell for CI. *)
+let fleet_grid ~smoke =
+  if smoke then [ (12, 3, Wave.Reboot Strategy.Warm) ]
+  else
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun w -> List.map (fun s -> (h, w, s)) Wave.all_strategies)
+          [ 4; 16 ])
+      [ 50; 200 ]
 
 (* Spec params carry only the memdyn [mode]; the remaining knobs are
    the defaults. [Off] maps to [None] so an off-mode run is the exact
@@ -1298,295 +1326,205 @@ let memdyn_of_params (p : Spec.params) =
   | mode -> Some (Mem.Memdyn.default mode)
 
 let () =
-  let single id run =
+  (* A one-cell experiment's cell is keyed by its id; a grid keys each
+     cell by the id and its grid point. A cell captures only the params
+     and its grid point, both immutable, so any domain may run it. *)
+  let single id doc run =
+    { Spec.id; doc; cells = (fun p -> [ (id, fun () -> run p) ]) }
+  in
+  let grid id doc ~key ~points run =
     {
       Spec.id;
-      doc = "";
-      shards = (fun p -> [ (id, p) ]);
-      run;
+      doc;
+      cells =
+        (fun p ->
+          List.map (fun x -> (id ^ "/" ^ key x, fun () -> run p x)) (points p));
     }
   in
-  let with_doc doc spec = { spec with Spec.doc } in
-  (* Swept figures shard one point per key, zero-padded so lexicographic
-     key order is numeric order; the merged result is then byte-identical
-     to the sequential sweep. *)
   List.iter Spec.register
     [
-      {
-        Spec.id = "fig4";
-        doc = "Task times vs memory size of one VM (Figure 4)";
-        shards =
-          (fun p ->
-            List.map
-              (fun g ->
-                ( Printf.sprintf "fig4/mem=%02d" g,
-                  { p with Spec.mem_gib = Some [ g ] } ))
-              (Option.value p.Spec.mem_gib ~default:default_sweep_counts));
-        run =
-          (fun p ->
-            Result.Task_times
-              (fig4 ?mem_gib:p.Spec.mem_gib ?memdyn:(memdyn_of_params p) ()));
-      };
-      {
-        Spec.id = "fig5";
-        doc = "Task times vs number of VMs (Figure 5)";
-        shards =
-          (fun p ->
-            List.map
-              (fun n ->
-                ( Printf.sprintf "fig5/vms=%02d" n,
-                  { p with Spec.vm_counts = Some [ n ] } ))
-              (Option.value p.Spec.vm_counts ~default:default_sweep_counts));
-        run =
-          (fun p ->
-            Result.Task_times
-              (fig5 ?vm_counts:p.Spec.vm_counts ?memdyn:(memdyn_of_params p)
-                 ()));
-      };
-      {
-        Spec.id = "fig6";
-        doc = "Downtime of networked services (Figure 6)";
-        shards =
-          (fun p ->
-            List.map
-              (fun n ->
-                ( Printf.sprintf "fig6/vms=%02d" n,
-                  { p with Spec.vm_counts = Some [ n ] } ))
-              (Option.value p.Spec.vm_counts ~default:default_sweep_counts));
-        run =
-          (fun p ->
-            Result.Fig6
-              (fig6 ?vm_counts:p.Spec.vm_counts
-                 ?memdyn:(memdyn_of_params p)
-                 ~workload:p.Spec.workload ()));
-      };
-      with_doc "Effect of quick reload (Section 5.2)"
-        (single "quick_reload" (fun _ -> Result.Reload (quick_reload_effect ())));
-      with_doc "Downtime of one guest-OS rejuvenation (Section 5.3)"
-        (single "os_rejuvenation" (fun _ ->
-             Result.Scalar
-               {
-                 label = "os_rejuvenation_downtime_s";
-                 value = run_os_rejuvenation ();
-               }));
-      with_doc "Availability table (Section 5.3)"
-        (single "availability" (fun _ ->
-             let os_downtime_s = run_os_rejuvenation () in
-             match fig6 ~vm_counts:[ 11 ] ~workload:Scenario.Jboss () with
-             | [ row ] ->
-               Result.Availability
-                 (availability_table ~os_downtime_s
-                    ~vmm_downtimes:
-                      [
-                        (Strategy.Warm, row.warm_downtime_s);
-                        (Strategy.Cold, row.cold_downtime_s);
-                        (Strategy.Saved, row.saved_downtime_s);
-                      ]
-                    ())
-             | _ -> assert false));
-      with_doc "Web throughput timeline during the reboot (Figure 7)"
-        (single "fig7" (fun p ->
-             Result.Fig7 (fig7 ~strategy:p.Spec.strategy ())));
-      with_doc "File-read throughput before/after the reboot (Figure 8a)"
-        (single "fig8_file" (fun p ->
-             Result.Before_after (fig8_file ~strategy:p.Spec.strategy ())));
-      with_doc "Web throughput before/after the reboot (Figure 8b)"
-        (single "fig8_web" (fun p ->
-             Result.Before_after (fig8_web ~strategy:p.Spec.strategy ())));
-      with_doc "Fitted downtime model (Section 5.6)"
-        (single "section_5_6_fits" (fun p ->
-             Result.Fits (section_5_6_fits ?vm_counts:p.Spec.vm_counts ())));
-      with_doc "Cluster throughput model (Figure 9 / Section 6)"
-        (single "fig9" (fun _ ->
-             let p = Cluster.paper_params () in
-             Result.Timeline
-               [
-                 ("warm", Cluster.warm_timeline p ~reboot_at:600.0);
-                 ("cold", Cluster.cold_timeline p ~reboot_at:600.0);
-                 ("migration", Cluster.migration_timeline p ~migrate_at:600.0);
-               ]));
-      {
-        Spec.id = "fault_matrix";
-        doc =
-          "Recovery success per strategy x injection site (fault campaign)";
-        (* One shard per cell; [site] pins a shard to its cell, so the
-           shard keys (strategy id then site, both already in stable
-           string order) merge back into grid order. [smoke] shrinks
-           the grid to one cell for CI. *)
-        shards =
-          (fun p ->
-            match p.Spec.site with
-            | Some _ -> [ ("fault_matrix", p) ]
-            | None ->
-              let cells =
-                if p.Spec.smoke then Fault_matrix.smoke_grid
-                else Fault_matrix.grid
-              in
-              List.map
-                (fun (s, site) ->
-                  ( Printf.sprintf "fault_matrix/s=%s/site=%s" (Strategy.id s)
-                      site,
-                    { p with Spec.strategy = s; site = Some site } ))
-                cells);
-        run =
-          (fun p ->
-            let cells =
-              match p.Spec.site with
-              | Some site -> [ (p.Spec.strategy, site) ]
-              | None ->
-                if p.Spec.smoke then Fault_matrix.smoke_grid
-                else Fault_matrix.grid
-            in
-            Result.Fault_matrix
-              (Fault_matrix.run ~seed:p.Spec.seed ~cells ()));
-      };
-      {
-        Spec.id = "fleet_rolling";
-        doc =
-          "Fleet-scale rolling rejuvenation: fleet size x wave width x \
-           strategy";
-        (* One shard per grid cell; zero-padded sizes keep lexicographic
-           key order equal to grid order, so the merged result is
-           byte-identical to the sequential run. *)
-        shards =
-          (fun p ->
-            List.map
-              (fun (h, w, s) ->
-                ( Printf.sprintf "fleet_rolling/h=%04d/w=%03d/s=%s" h w
-                    (Wave.strategy_id s),
-                  {
-                    p with
-                    Spec.smoke = false;
-                    fleet_hosts = Some [ h ];
-                    wave_widths = Some [ w ];
-                    wave_strategy = Some s;
-                  } ))
-              (fleet_grid p));
-        run =
-          (fun p ->
-            Result.Fleet
-              (List.map
-                 (fun (hosts, width, strategy) ->
-                   fleet_cell ~partitions:p.Spec.partitions
-                     ~memdyn:
-                       (Option.value (memdyn_of_params p)
-                          ~default:Mem.Memdyn.off)
-                     ~traffic:
-                       (match p.Spec.traffic with
-                       | None -> Netsim.Fluid.default_config
-                       | Some mode ->
-                         { Netsim.Fluid.default_config with Netsim.Fluid.mode })
-                     ~seed:p.Spec.seed ~hosts ~width ~slo:p.Spec.slo ~strategy
-                     ())
-                 (fleet_grid p)));
-      };
-      {
-        Spec.id = "elastic_restore";
-        doc =
-          "Saved-reboot restore: memdyn mode x working-set size x disk \
-           generation";
-        (* One shard per grid cell, pinned by its own key suffix. Key
-           order is mode, then working set (zero-padded percent), then
-           disk — the grid enumeration order — so the merged rows come
-           back in grid order. *)
-        shards =
-          (fun p ->
-            List.map
-              (fun c ->
-                let key = elastic_cell_key c in
-                ( "elastic_restore/" ^ key,
-                  { p with Spec.cell = Some key } ))
-              (elastic_grid ~smoke:p.Spec.smoke ~cell:p.Spec.cell));
-        run =
-          (fun p ->
-            Result.Elastic
-              (List.map
-                 (run_elastic_cell ~seed:p.Spec.seed ~workload:p.Spec.workload)
-                 (elastic_grid ~smoke:p.Spec.smoke ~cell:p.Spec.cell)));
-      };
-      {
-        Spec.id = "elastic_traffic";
-        doc =
-          "Traffic-model grid: per-request / fluid / hybrid x client \
-           population x reboot strategy on a fig7-shaped cell";
-        shards =
-          (fun p ->
-            List.map
-              (fun c ->
-                let key = traffic_cell_key c in
-                ( "elastic_traffic/" ^ key,
-                  { p with Spec.cell = Some key } ))
-              (traffic_grid ~smoke:p.Spec.smoke ~cell:p.Spec.cell
-                 ~mode:p.Spec.traffic ~clients:p.Spec.clients));
-        run =
-          (fun p ->
-            Result.Traffic
-              (List.map
-                 (run_traffic_cell ~seed:p.Spec.seed)
-                 (traffic_grid ~smoke:p.Spec.smoke ~cell:p.Spec.cell
-                    ~mode:p.Spec.traffic ~clients:p.Spec.clients)));
-      };
+      grid "fig4" "Task times vs memory size of one VM (Figure 4)"
+        ~key:(Printf.sprintf "mem=%02d")
+        ~points:(fun p ->
+          Option.value p.Spec.mem_gib ~default:default_sweep_counts)
+        (fun p gib ->
+          Result.Task_times
+            [
+              task_times_at ?memdyn:(memdyn_of_params p) ~x:gib ~vm_count:1
+                ~vm_mem_bytes:(Simkit.Units.gib gib) ();
+            ]);
+      grid "fig5" "Task times vs number of VMs (Figure 5)"
+        ~key:(Printf.sprintf "vms=%02d")
+        ~points:(fun p ->
+          Option.value p.Spec.vm_counts ~default:default_sweep_counts)
+        (fun p n ->
+          Result.Task_times
+            [
+              task_times_at ?memdyn:(memdyn_of_params p) ~x:n ~vm_count:n
+                ~vm_mem_bytes:(Simkit.Units.gib 1) ();
+            ]);
+      grid "fig6" "Downtime of networked services (Figure 6)"
+        ~key:(Printf.sprintf "vms=%02d")
+        ~points:(fun p ->
+          Option.value p.Spec.vm_counts ~default:default_sweep_counts)
+        (fun p n ->
+          Result.Fig6
+            (fig6 ~vm_counts:[ n ] ?memdyn:(memdyn_of_params p)
+               ~workload:p.Spec.workload ()));
+      single "quick_reload" "Effect of quick reload (Section 5.2)" (fun _ ->
+          Result.Reload (quick_reload_effect ()));
+      single "os_rejuvenation"
+        "Downtime of one guest-OS rejuvenation (Section 5.3)" (fun _ ->
+          Result.Scalar
+            {
+              label = "os_rejuvenation_downtime_s";
+              value = run_os_rejuvenation ();
+            });
+      single "availability" "Availability table (Section 5.3)" (fun _ ->
+          let os_downtime_s = run_os_rejuvenation () in
+          match fig6 ~vm_counts:[ 11 ] ~workload:Scenario.Jboss () with
+          | [ row ] ->
+            Result.Availability
+              (availability_table ~os_downtime_s
+                 ~vmm_downtimes:
+                   [
+                     (Strategy.Warm, row.warm_downtime_s);
+                     (Strategy.Cold, row.cold_downtime_s);
+                     (Strategy.Saved, row.saved_downtime_s);
+                   ]
+                 ())
+          | _ -> assert false);
+      single "fig7" "Web throughput timeline during the reboot (Figure 7)"
+        (fun p -> Result.Fig7 (fig7 ~strategy:p.Spec.strategy ()));
+      single "fig8_file"
+        "File-read throughput before/after the reboot (Figure 8a)" (fun p ->
+          Result.Before_after (fig8_file ~strategy:p.Spec.strategy ()));
+      single "fig8_web" "Web throughput before/after the reboot (Figure 8b)"
+        (fun p -> Result.Before_after (fig8_web ~strategy:p.Spec.strategy ()));
+      single "section_5_6_fits" "Fitted downtime model (Section 5.6)"
+        (fun p -> Result.Fits (section_5_6_fits ?vm_counts:p.Spec.vm_counts ()));
+      single "fig9" "Cluster throughput model (Figure 9 / Section 6)" (fun _ ->
+          let p = Cluster.paper_params () in
+          Result.Timeline
+            [
+              ("warm", Cluster.warm_timeline p ~reboot_at:600.0);
+              ("cold", Cluster.cold_timeline p ~reboot_at:600.0);
+              ("migration", Cluster.migration_timeline p ~migrate_at:600.0);
+            ]);
+      grid "fault_matrix"
+        "Recovery success per strategy x injection site (fault campaign)"
+        ~key:(fun (s, site) ->
+          Printf.sprintf "s=%s/site=%s" (Strategy.id s) site)
+        ~points:(fun p ->
+          if p.Spec.smoke then Fault_matrix.smoke_grid else Fault_matrix.grid)
+        (fun p (strategy, site) ->
+          Result.Fault_matrix
+            [ Fault_matrix.run_cell ~seed:p.Spec.seed ~strategy ~site () ]);
+      grid "fleet_rolling"
+        "Fleet-scale rolling rejuvenation: fleet size x wave width x \
+         strategy"
+        ~key:(fun (h, w, s) ->
+          Printf.sprintf "h=%04d/w=%03d/s=%s" h w (Wave.strategy_id s))
+        ~points:(fun p -> fleet_grid ~smoke:p.Spec.smoke)
+        (fun p (hosts, width, strategy) ->
+          Result.Fleet
+            [
+              fleet_cell ~partitions:p.Spec.partitions
+                ?memdyn:(memdyn_of_params p)
+                ?traffic:
+                  (Option.map
+                     (fun mode ->
+                       { Netsim.Fluid.default_config with Netsim.Fluid.mode })
+                     p.Spec.traffic)
+                ~seed:p.Spec.seed ~hosts ~width ~slo:0.75 ~strategy ();
+            ]);
+      grid "elastic_restore"
+        "Saved-reboot restore: memdyn mode x working-set size x disk \
+         generation"
+        ~key:(fun (mode, ws, (disk_name, _)) ->
+          Printf.sprintf "m=%s/ws=%03d/d=%s"
+            (Mem.Memdyn.mode_name mode)
+            (int_of_float ((ws *. 100.0) +. 0.5))
+            disk_name)
+        ~points:(fun p -> elastic_grid ~smoke:p.Spec.smoke)
+        (fun p c ->
+          Result.Elastic
+            [ run_elastic_cell ~seed:p.Spec.seed ~workload:p.Spec.workload c ]);
+      grid "elastic_traffic"
+        "Traffic-model grid: per-request / fluid / hybrid x client \
+         population x reboot strategy on a fig7-shaped cell"
+        ~key:(fun (mode, clients, strategy) ->
+          Printf.sprintf "m=%s/c=%07d/s=%s"
+            (Netsim.Fluid.mode_name mode)
+            clients (Strategy.id strategy))
+        ~points:(fun p ->
+          traffic_grid ~smoke:p.Spec.smoke ~mode:p.Spec.traffic
+            ~clients:p.Spec.clients)
+        (fun p c -> Result.Traffic [ run_traffic_cell ~seed:p.Spec.seed c ]);
     ]
 
-(* --- Parallel sweeps ------------------------------------------------------ *)
+(* --- Running experiments ------------------------------------------------- *)
+
+let run ?(params = Spec.default_params) id =
+  Result.merge
+    (List.map (fun (_, cell) -> cell ()) ((Spec.find_exn id).Spec.cells params))
 
 let calibration_hash c = Digest.to_hex (Digest.string (Marshal.to_string c []))
 
-let sweep_tasks ?(params = Spec.default_params) ids =
+(* Each requested experiment's cells as runner tasks, in cell order. *)
+let tasks_by_id ~params ids =
+  List.iter
+    (fun id ->
+      if List.length (List.filter (String.equal id) ids) > 1 then
+        invalid_arg (Printf.sprintf "Experiment.sweep: %S requested twice" id))
+    ids;
   (* Registered runs execute under [Calibration.default]; hashing the
      value (not the name) makes the cache key track any recalibration
      of the simulated testbed. *)
   let calibration = calibration_hash Calibration.default in
-  List.concat_map
+  let params_key = Spec.params_key params in
+  List.map
     (fun id ->
-      let spec = Spec.find_exn id in
-      List.map
-        (fun (key, p) ->
-          {
-            Runner.Sweep.key;
-            cache_key =
-              Some
-                (Runner.Cache.key ~id:key ~params:(Spec.params_key p)
-                   ~seed:p.Spec.seed ~calibration);
-            run = (fun () -> spec.Spec.run p);
-          })
-        (spec.Spec.shards params))
+      ( id,
+        List.map
+          (fun (key, run) ->
+            {
+              Runner.Sweep.key;
+              cache_key =
+                Some
+                  (Runner.Cache.key ~id:key ~params:params_key
+                     ~seed:params.Spec.seed ~calibration);
+              run;
+            })
+          ((Spec.find_exn id).Spec.cells params) ))
     ids
 
+let sweep_tasks ?(params = Spec.default_params) ids =
+  List.concat_map snd (tasks_by_id ~params ids)
+
 let sweep ?jobs ?cache ?verify_isolation ?(params = Spec.default_params) ids =
+  let by_id = tasks_by_id ~params ids in
   let outcomes =
-    Runner.Sweep.run ?jobs ?cache ?verify_isolation (sweep_tasks ~params ids)
+    Runner.Sweep.run ?jobs ?cache ?verify_isolation (List.concat_map snd by_id)
+  in
+  let value (t : Result.t Runner.Sweep.task) =
+    (List.find
+       (fun (o : Result.t Runner.Sweep.outcome) -> String.equal o.key t.key)
+       outcomes)
+      .value
   in
   let merged =
     List.map
-      (fun id ->
-        let mine =
-          List.filter
-            (fun (o : Result.t Runner.Sweep.outcome) ->
-              String.equal o.key id
-              || String.starts_with ~prefix:(id ^ "/") o.key)
-            outcomes
-        in
-        (* A faulted shard poisons its experiment (first fault in key
-           order wins); the other experiments still merge normally. *)
-        let faults =
-          List.filter_map
-            (fun (o : Result.t Runner.Sweep.outcome) ->
-              match o.Runner.Sweep.value with
-              | Error f -> Some f
-              | Ok _ -> None)
-            mine
-        in
-        match faults with
-        | f :: _ -> (id, Error f)
-        | [] ->
-          ( id,
-            Ok
-              (Result.merge
-                 (List.filter_map
-                    (fun (o : Result.t Runner.Sweep.outcome) ->
-                      Stdlib.Result.to_option o.Runner.Sweep.value)
-                    mine)) ))
-      ids
+      (fun (id, tasks) ->
+        let values = List.map value tasks in
+        (* A faulted cell poisons its experiment (the first fault in
+           cell order wins); the other experiments still merge. *)
+        match
+          List.find_map (function Error f -> Some f | Ok _ -> None) values
+        with
+        | Some f -> (id, Error f)
+        | None ->
+          (id, Ok (Result.merge (List.filter_map Stdlib.Result.to_option values))))
+      by_id
   in
   (merged, outcomes)

@@ -1,6 +1,8 @@
-(** Runners for every experiment in the paper's Section 5 (and the
-    Figure 9 model of Section 6). Each returns plain data; printing
-    lives in the bench harness and the CLI.
+(** Every experiment of the paper's Section 5 (and the Figure 9 model
+    of Section 6), registered under a stable id as a list of cells (see
+    {!Spec}); {!run} and {!sweep} run them. The building blocks below
+    ({!run_reboot}, {!fleet_cell}, {!run_traffic_cell}, ...) serve
+    measurements that are not registered experiments.
 
     All runs are deterministic given the seed (default 42). *)
 
@@ -55,14 +57,6 @@ type task_times = {
   boot_s : float;
 }
 
-val fig4 :
-  ?mem_gib:int list -> ?memdyn:Mem.Memdyn.t -> unit -> task_times list
-(** One VM, memory swept 1–11 GiB (paper default). *)
-
-val fig5 :
-  ?vm_counts:int list -> ?memdyn:Mem.Memdyn.t -> unit -> task_times list
-(** 1 GiB per VM, count swept 1–11. *)
-
 (** {1 Section 5.2: effect of quick reload} *)
 
 type reload_times = { quick_reload_s : float; hardware_reset_s : float }
@@ -116,8 +110,6 @@ type fig7_result = {
           (viewable at ui.perfetto.dev) *)
 }
 
-val fig7 : strategy:Strategy.t -> unit -> fig7_result
-
 (** {1 Figure 8: throughput before/after the reboot} *)
 
 type before_after = {
@@ -132,16 +124,6 @@ type before_after = {
 val fig8_file : strategy:Strategy.t -> unit -> before_after
 (** 512 MB file read throughput (MiB/s), 11 GiB VM. *)
 
-val fig8_web : strategy:Strategy.t -> unit -> before_after
-(** Web throughput (req/s) serving 10,000 x 512 KiB cached files.
-    [second_*] report the steady window after the first. *)
-
-(** {1 Section 5.6: fitted model} *)
-
-val section_5_6_fits : ?vm_counts:int list -> unit -> Downtime_model.fits
-(** Re-measure the model's component functions on the simulator and
-    fit lines, as the paper does from its testbed. *)
-
 (** {1 Elastic restore: memdyn mode x working set x disk} *)
 
 type elastic_row = {
@@ -153,15 +135,6 @@ type elastic_row = {
   er_restore_lag_s : float;
       (** post-resume cold-page streaming duration *)
 }
-
-val run_elastic_cell :
-  ?seed:int ->
-  workload:Scenario.workload ->
-  Mem.Memdyn.mode * float * (string * Calibration.t) ->
-  elastic_row
-(** One ["elastic_restore"] grid cell: a 1 GiB VM under the saved
-    reboot with the given memdyn mode, working-set fraction, and named
-    disk calibration. *)
 
 val fleet_cell :
   ?partitions:int ->
@@ -200,9 +173,6 @@ type traffic_row = {
       (** actual per-request completions simulated (0 in pure fluid) *)
 }
 
-val traffic_cell_key : Netsim.Fluid.mode * int * Strategy.t -> string
-(** Stable shard-key suffix, e.g. ["m=hybrid/c=0001000/s=warm"]. *)
-
 val run_traffic_cell :
   ?seed:int -> Netsim.Fluid.mode * int * Strategy.t -> traffic_row
 (** One ["elastic_traffic"] grid cell: a fig7-shaped scenario (Web
@@ -213,9 +183,8 @@ val run_traffic_cell :
 (** {1 Uniform results}
 
     Every experiment's result, wrapped in one sum type so generic
-    tooling — the CLI's [--csv]/[--json] exporters, the sweep runner's
-    cache — can handle all of them uniformly. The typed records above
-    remain the primary API; [Result.t] is the transport. *)
+    tooling — the CLI's [--csv]/[--json] exporters, the text printer,
+    the sweep runner's cache — can handle all of them uniformly. *)
 
 module Result : sig
   type t =
@@ -248,57 +217,49 @@ module Result : sig
   val csv : t -> string list * string list list
   (** [(header, rows)] for the generic CSV exporter. *)
 
+  val pp : Format.formatter -> t -> unit
+  (** Human-readable text: a table for row lists, one line per value
+      otherwise. Every line ends in a newline. *)
+
   val merge : t list -> t
-  (** Combine the shard results of one experiment (concatenating row
+  (** Combine the cell results of one experiment (concatenating row
       lists, in the given order). Raises [Invalid_argument] on an empty
       list or on structurally incompatible results. *)
 end
 
 (** {1 The experiment registry}
 
-    Every entry point above is also registered as a {!Spec.t} under a
-    stable id — ["fig4"], ["fig5"], ["fig6"], ["quick_reload"],
+    Every experiment is registered as a {!Spec.t} under a stable id —
+    ["fig4"], ["fig5"], ["fig6"], ["quick_reload"],
     ["os_rejuvenation"], ["availability"], ["fig7"], ["fig8_file"],
     ["fig8_web"], ["section_5_6_fits"], ["fig9"], ["fault_matrix"],
-    ["fleet_rolling"], ["elastic_restore"], ["elastic_traffic"] — so
-    the CLI, the bench harness and the sweep
-    runner can enumerate and run them uniformly. *)
+    ["fleet_rolling"], ["elastic_restore"], ["elastic_traffic"]. The
+    CLI, the bench harness and the sweep runner all run them through
+    {!run} or {!sweep}. *)
 
 module Spec : sig
   type params = {
     seed : int;  (** engine seed; all runs are deterministic given it *)
-    workload : Scenario.workload;  (** used by fig6 *)
-    strategy : Strategy.t;  (** used by fig7 / fig8_* / fault_matrix *)
+    workload : Scenario.workload;  (** used by fig6 / elastic_restore *)
+    strategy : Strategy.t;  (** used by fig7 / fig8_file / fig8_web *)
     vm_counts : int list option;
-        (** [None] = the experiment's paper-default sweep *)
+        (** fig5 / fig6 / section_5_6_fits sweep points; [None] = the
+            experiment's paper-default sweep *)
     mem_gib : int list option;  (** [None] = paper default (fig4) *)
-    site : string option;
-        (** pins [fault_matrix] to one injection site; [None] = grid *)
     smoke : bool;
-        (** shrink [fault_matrix] / [fleet_rolling] to a single small
-            cell (CI smoke runs) *)
-    fleet_hosts : int list option;
-        (** [fleet_rolling] fleet sizes; [None] = [[50; 200]] *)
-    wave_widths : int list option;
-        (** [fleet_rolling] wave widths; [None] = [[4; 16]] *)
-    wave_strategy : Wave.strategy option;
-        (** pins [fleet_rolling] to one strategy; [None] = all four *)
-    slo : float;
-        (** [fleet_rolling] healthy-host fraction target; default 0.75 *)
+        (** shrink each of the four grids — [fault_matrix],
+            [fleet_rolling], [elastic_restore], [elastic_traffic] — to a
+            single small cell (CI smoke runs) *)
     partitions : int;
         (** shards each [fleet_rolling] cell runs on; default 1.
             Deliberately not part of {!params_key}: a fleet cell is
             byte-identical for every partition count, so the sweep
             cache may serve it computed at any partitioning. *)
     memdyn : Mem.Memdyn.mode;
-        (** memory-dynamics mode for [fig4] / [fig5] /
+        (** memory-dynamics mode for [fig4] / [fig5] / [fig6] /
             [fleet_rolling]; default [Off], the exact pre-memdyn code
             path. The remaining memdyn knobs stay at
             [Mem.Memdyn.default]. *)
-    cell : string option;
-        (** pins [elastic_restore] / [elastic_traffic] to one grid
-            cell (the shard-key suffix, e.g.
-            ["m=stream/ws=035/d=hdd2007"]); [None] = the full grid. *)
     traffic : Netsim.Fluid.mode option;
         (** traffic model for [elastic_traffic] (pins the mode axis)
             and [fleet_rolling] (selects the per-host stream model);
@@ -319,14 +280,15 @@ module Spec : sig
   type t = {
     id : string;
     doc : string;
-    shards : params -> (string * params) list;
-        (** Independent, embarrassingly parallel units of this
-            experiment — one per swept point — each with a unique key
-            whose lexicographic order is the merge order. Single-run
-            experiments return one shard keyed by [id]. *)
-    run : params -> Result.t;
-        (** Execute one shard. Self-contained: builds its own engine
-            and RNG from [params.seed]; safe to call from any domain. *)
+    cells : params -> (string * (unit -> Result.t)) list;
+        (** The experiment under the given params, as independent,
+            embarrassingly parallel cells — one per swept point, in
+            the order their rows are merged. Each cell has a unique key
+            that is the id (a single-cell experiment) or starts with
+            the id and a slash, e.g. ["fig4/mem=07"]. Listing the cells
+            runs nothing. A cell is self-contained: it builds its own
+            engine and RNG from [params.seed], and is safe to run from
+            any domain. *)
   }
 
   val register : t -> unit
@@ -341,7 +303,12 @@ module Spec : sig
   val ids : unit -> string list
 end
 
-(** {1 Parallel sweeps} *)
+(** {1 Running experiments} *)
+
+val run : ?params:Spec.params -> string -> Result.t
+(** Run the experiment's cells in this domain, in list order, and merge
+    them. Raises [Invalid_argument] on an unknown id and
+    [Simkit.Fault.Error] if a cell faults. *)
 
 val calibration_hash : Calibration.t -> string
 (** Digest of a calibration's timing constants — part of every cache
@@ -350,8 +317,9 @@ val calibration_hash : Calibration.t -> string
 
 val sweep_tasks :
   ?params:Spec.params -> string list -> Result.t Runner.Sweep.task list
-(** Expand experiment ids into their shards as runner tasks, with cache
-    keys derived from (shard key, params, seed, calibration hash). *)
+(** Expand experiment ids into their cells as runner tasks, with cache
+    keys derived from (cell key, params, seed, calibration hash).
+    Raises [Invalid_argument] on an unknown or repeated id. *)
 
 val sweep :
   ?jobs:int ->
@@ -361,12 +329,14 @@ val sweep :
   string list ->
   (string * (Result.t, Simkit.Fault.t) result) list
   * Result.t Runner.Sweep.outcome list
-(** Run the named experiments' shards through {!Runner.Sweep.run} —
+(** Run the named experiments' cells through {!Runner.Sweep.run} —
     across [jobs] domains, consulting [cache] when given — and merge
-    the shard results back into one value per experiment id (in the
-    order requested). An experiment whose shard faulted merges to
-    [Error] (the first fault in key order) instead of aborting the
-    whole sweep; the other experiments still report [Ok]. Also returns
-    the raw per-shard outcomes with their wall-clock / simulated-event
-    metrics. The merged results are byte-identical to a sequential
-    run: shard order is fixed by key, never by completion. *)
+    each experiment's cell results in cell-list order, into one value
+    per experiment id (in the order requested). An experiment whose
+    cell faulted merges to [Error] (the first fault in cell order)
+    instead of aborting the whole sweep; the other experiments still
+    report [Ok]. Also returns the raw per-cell outcomes, in key order,
+    with their wall-clock / simulated-event metrics. The merged results
+    are byte-identical to {!run}'s, whatever the scheduling. Raises
+    [Invalid_argument] before running anything if an id is unknown or
+    repeated. *)

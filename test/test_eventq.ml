@@ -275,9 +275,7 @@ let test_default_queue_scoping () =
 
 let result_json_under backend id =
   Engine.with_default_queue backend (fun () ->
-      Rejuv.Experiment.Result.to_json
-        ((Rejuv.Experiment.Spec.find_exn id).Rejuv.Experiment.Spec.run
-           Rejuv.Experiment.Spec.default_params))
+      Rejuv.Experiment.Result.to_json (Rejuv.Experiment.run id))
 
 let test_experiment_backend_independent () =
   List.iter

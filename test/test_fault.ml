@@ -139,10 +139,9 @@ let test_injected_cell_pays_for_recovery () =
     (cell.Fault_matrix.extra_downtime_s > 0.0)
 
 let test_fault_matrix_byte_identical () =
-  let spec = Spec.find_exn "fault_matrix" in
   let params = { Spec.default_params with seed = 1234; smoke = true } in
-  let j1 = Result.to_json (spec.Spec.run params) in
-  let j2 = Result.to_json (spec.Spec.run params) in
+  let j1 = Result.to_json (Rejuv.Experiment.run ~params "fault_matrix") in
+  let j2 = Result.to_json (Rejuv.Experiment.run ~params "fault_matrix") in
   check_true "json non-trivial" (String.length j1 > 2);
   check_true "same seed, byte-identical JSON" (String.equal j1 j2)
 

@@ -124,10 +124,8 @@ let test_fleet_rolling_golden_across_backends () =
   let spec = E.Spec.find_exn "fleet_rolling" in
   let rolling ~partitions =
     let params = { E.Spec.default_params with smoke = true; partitions } in
-    let shards = spec.E.Spec.shards params in
-    check_true "smoke grid is non-empty" (shards <> []);
-    E.Result.to_json
-      (E.Result.merge (List.map (fun (_, p) -> spec.E.Spec.run p) shards))
+    check_true "smoke grid is non-empty" (spec.E.Spec.cells params <> []);
+    E.Result.to_json (E.run ~params "fleet_rolling")
   in
   List.iter
     (fun backend ->

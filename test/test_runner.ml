@@ -1,6 +1,8 @@
 (* The parallel sweep runner: work-stealing pool semantics, key-ordered
-   deterministic merges, the on-disk result cache, and the guarantee
-   that every registered experiment serializes through Result.to_json. *)
+   deterministic outcomes, the on-disk result cache, and the guarantee
+   that every registered experiment serializes through Result.to_json
+   and merges the same under [Experiment.sweep] as under
+   [Experiment.run]. *)
 open Helpers
 module Experiment = Rejuv.Experiment
 module Result = Rejuv.Experiment.Result
@@ -250,22 +252,62 @@ let test_json_validator_sanity () =
 
 let test_every_experiment_round_trips_json () =
   (* Run every registered spec end-to-end (cheap sweep points where the
-     experiment is parameterized) and check its merged Result renders
-     as well-formed JSON with the right envelope. *)
-  List.iter
-    (fun id ->
-      let merged, _ = Experiment.sweep ~jobs:1 ~params:cheap_params [ id ] in
-      match merged with
-      | [ (id', Ok result) ] ->
+     experiment is parameterized, plus the full fault_matrix and
+     elastic_restore grids) and check its merged Result renders as
+     well-formed JSON with the right envelope, byte-identical to
+     [Experiment.run]'s. *)
+  let check params ids =
+    let merged, _ = Experiment.sweep ~jobs:2 ~params ids in
+    check_int "one result per id" (List.length ids) (List.length merged);
+    List.iter2
+      (fun id (id', result) ->
         check_true "id preserved" (String.equal id id');
-        let json = Result.to_json result in
-        check_true (id ^ ": valid JSON") (json_valid json);
-        let prefix = Printf.sprintf {|{"kind":"%s"|} (Result.kind result) in
-        check_true (id ^ ": kind envelope")
-          (String.length json >= String.length prefix
-          && String.equal (String.sub json 0 (String.length prefix)) prefix)
-      | _ -> Alcotest.failf "%s: expected one merged result" id)
-    (Spec.ids ())
+        match result with
+        | Ok result ->
+          let json = Result.to_json result in
+          check_true (id ^ ": valid JSON") (json_valid json);
+          let prefix =
+            Printf.sprintf {|{"kind":"%s"|} (Result.kind result)
+          in
+          check_true (id ^ ": kind envelope")
+            (String.length json >= String.length prefix
+            && String.equal (String.sub json 0 (String.length prefix)) prefix);
+          Alcotest.(check string)
+            (id ^ ": sweep merge = run")
+            (Result.to_json (Experiment.run ~params id))
+            json
+        | Error f -> Alcotest.failf "%s: %s" id (Simkit.Fault.to_string f))
+      ids merged
+  in
+  check cheap_params (Spec.ids ());
+  check { cheap_params with smoke = false } [ "fault_matrix"; "elastic_restore" ]
+
+let test_cell_keys_unique_and_prefixed () =
+  (* Listing cells runs nothing, so every grid is checked at full size. *)
+  List.iter
+    (fun (spec : Spec.t) ->
+      List.iter
+        (fun params ->
+          let keys = List.map fst (spec.cells params) in
+          check_true (spec.id ^ ": has cells") (keys <> []);
+          check_int (spec.id ^ ": keys unique") (List.length keys)
+            (List.length (List.sort_uniq String.compare keys));
+          List.iter
+            (fun key ->
+              check_true
+                (key ^ " starts with " ^ spec.id)
+                (String.equal key spec.id
+                || String.starts_with ~prefix:(spec.id ^ "/") key))
+            keys)
+        [ Spec.default_params; { Spec.default_params with smoke = true } ])
+    (Spec.all ())
+
+let test_sweep_rejects_repeated_id () =
+  let events = Simkit.Engine.domain_events_processed () in
+  (match Experiment.sweep ~jobs:1 [ "fig4"; "fig4" ] with
+  | _ -> Alcotest.fail "a repeated id was accepted"
+  | exception Invalid_argument _ -> ());
+  check_int "nothing ran" events (Simkit.Engine.domain_events_processed ())
 
 let suite =
   ( "runner",
@@ -289,4 +331,8 @@ let suite =
         test_json_validator_sanity;
       Alcotest.test_case "every experiment -> valid JSON" `Slow
         test_every_experiment_round_trips_json;
+      Alcotest.test_case "cell keys unique, prefixed by the id" `Quick
+        test_cell_keys_unique_and_prefixed;
+      Alcotest.test_case "sweep rejects a repeated id" `Quick
+        test_sweep_rejects_repeated_id;
     ] )

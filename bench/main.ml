@@ -586,31 +586,25 @@ let memdyn () =
   record "memdyn.stream.restore_lag_s"
     streamed.Rejuv.Experiment.restore_lag_s;
   (* Gate: off-mode inertness — a seeded fleet cell's JSON is
-     byte-identical with memdyn absent vs explicitly off, for
-     partitions 1 and 4, under both event-queue backends. *)
-  let cell ?memdyn ~partitions backend =
-    Simkit.Engine.with_default_queue backend (fun () ->
-        Rejuv.Experiment.Result.to_json
-          (Rejuv.Experiment.Result.Fleet
-             [
-               Rejuv.Experiment.fleet_cell ?memdyn ~partitions
-                 ~load_rate_per_s:20.0 ~seed:11 ~hosts:6 ~width:2 ~slo:0.5
-                 ~strategy:(Rejuv.Wave.Reboot Rejuv.Strategy.Warm)
-                 ();
-             ]))
+     byte-identical with memdyn absent vs explicitly off, and for
+     partitions 1 and 4. *)
+  let cell ?memdyn ~partitions () =
+    Rejuv.Experiment.Result.to_json
+      (Rejuv.Experiment.Result.Fleet
+         [
+           Rejuv.Experiment.fleet_cell ?memdyn ~partitions
+             ~load_rate_per_s:20.0 ~seed:11 ~hosts:6 ~width:2 ~slo:0.5
+             ~strategy:(Rejuv.Wave.Reboot Rejuv.Strategy.Warm)
+             ();
+         ])
   in
-  let reference = cell ~memdyn:Mem.Memdyn.off ~partitions:1 Simkit.Eventq.Heap in
+  let reference = cell ~memdyn:Mem.Memdyn.off ~partitions:1 () in
   let identical =
     String.length reference > 100
-    && List.for_all
-         (fun backend ->
-           String.equal reference (cell ~partitions:1 backend)
-           && String.equal reference
-                (cell ~memdyn:Mem.Memdyn.off ~partitions:4 backend))
-         [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+    && String.equal reference (cell ~partitions:1 ())
+    && String.equal reference (cell ~memdyn:Mem.Memdyn.off ~partitions:4 ())
   in
-  pf "off-mode fleet cell byte-identical across modes/partitions/backends: \
-      %b@."
+  pf "off-mode fleet cell byte-identical across modes/partitions: %b@."
     identical;
   record ~unit_:"bool" ~tolerance_pct:(Some 0.0) "memdyn.off_identical"
     (if identical then 1.0 else 0.0)
@@ -663,7 +657,8 @@ let sweep () =
       cores;
   let identical = String.equal (bytes seq) (bytes par) in
   pf "merged results byte-identical to the sequential path: %b@." identical;
-  record ~unit_:"bool" "sweep.merged_identical" (if identical then 1.0 else 0.0);
+  record ~unit_:"bool" ~tolerance_pct:(Some 0.0) "sweep.merged_identical"
+    (if identical then 1.0 else 0.0);
   record_info ~unit_:"x" "sweep.overlap" (if t_par > 0.0 then run_wall /. t_par else 1.0);
   (* The runner's own observability: record the batch into the ambient
      registry and surface shard utilization informationally. *)
@@ -672,14 +667,13 @@ let sweep () =
 (* --- Event-core microbenchmark --------------------------------------------
 
    Events/sec of the engine's event queue under the two workload shapes
-   that motivated the calendar queue + tombstone compaction: a
-   cancel-heavy synthetic (the timeout idiom — schedule a far-future
-   timeout, cancel it almost immediately — that used to drown the heap
-   in tombstones) and an httperf-style closed loop. Wall-clock numbers
-   are informational; the gates are shape facts that hold on any
-   machine: compaction must make the cancel-heavy workload at least 2x
-   faster than the uncompacted heap, and both backends must agree
-   byte-for-byte on the httperf results. *)
+   that motivated tombstone compaction: a cancel-heavy synthetic (the
+   timeout idiom — schedule a far-future timeout, cancel it almost
+   immediately — that used to drown the heap in tombstones) and an
+   httperf-style closed loop. Wall-clock numbers are informational; the
+   gate is a shape fact that holds on any machine: compaction must make
+   the cancel-heavy workload at least 2x faster than the uncompacted
+   heap. *)
 
 let cancel_heavy_iters = 300_000
 let cancel_heavy_actors = 64
@@ -689,8 +683,8 @@ let cancel_heavy_actors = 64
    Sim time stays well short of the 1000 s timeouts, so with compaction
    [`Off] every cancelled handle lingers in the queue until the final
    drain. *)
-let run_cancel_heavy ~queue ~compaction () =
-  let e = Simkit.Engine.create ~queue ~compaction () in
+let run_cancel_heavy ~compaction () =
+  let e = Simkit.Engine.create ~compaction () in
   let remaining = ref cancel_heavy_iters in
   let rec arm () =
     if !remaining > 0 then begin
@@ -710,8 +704,8 @@ let run_cancel_heavy ~queue ~compaction () =
 
 let httperf_heavy_horizon_s = 600.0
 
-let run_httperf_heavy ~queue () =
-  let e = Simkit.Engine.create ~queue () in
+let run_httperf_heavy () =
+  let e = Simkit.Engine.create () in
   let rng = Simkit.Rng.create 7 in
   let gen =
     Netsim.Httperf.create e ~name:"bench" ~connections:32
@@ -879,69 +873,40 @@ let traffic () =
   record_info "traffic.fleet_1m.wall_s" wall_fleet
 
 let eventcore () =
-  header "Event core (events/sec by queue backend and compaction)";
-  let variants =
-    [
-      ("heap_off", Simkit.Eventq.Heap, `Off);
-      ("heap_auto", Simkit.Eventq.Heap, `Auto);
-      ("calendar_auto", Simkit.Eventq.Calendar, `Auto);
-    ]
-  in
+  header "Event core (events/sec with and without tombstone compaction)";
   pf "cancel-heavy synthetic: %d rounds, %d actors@." cancel_heavy_iters
     cancel_heavy_actors;
   let rates =
     List.map
-      (fun (tag, queue, compaction) ->
-        let e, wall = wall_of (run_cancel_heavy ~queue ~compaction) in
+      (fun (tag, compaction) ->
+        let e, wall = wall_of (run_cancel_heavy ~compaction) in
         let events = Simkit.Engine.events_scheduled e in
         let rate = float_of_int events /. Float.max wall 1e-9 in
-        let s = Simkit.Engine.queue_stats e in
-        pf
-          "  %-14s %8.2f s  %9.0f events/s  (%d compactions, %d resizes)@."
-          tag wall rate s.Simkit.Engine.qs_compactions
-          s.Simkit.Engine.qs_resizes;
+        pf "  %-14s %8.2f s  %9.0f events/s  (%d compactions)@." tag wall
+          rate (Simkit.Engine.queue_stats e).Simkit.Engine.qs_compactions;
         record_info ~unit_:"events/s"
           (Printf.sprintf "eventcore.cancel_heavy.%s.events_per_s" tag)
           rate;
         (tag, rate))
-      variants
+      [ ("heap_off", `Off); ("heap_auto", `Auto) ]
   in
   let rate tag = List.assoc tag rates in
-  let speedup = rate "calendar_auto" /. rate "heap_off" in
-  pf "  calendar+compaction vs uncompacted heap: %.2fx@." speedup;
+  let speedup = rate "heap_auto" /. rate "heap_off" in
+  pf "  compaction vs uncompacted heap: %.2fx@." speedup;
   record_info ~unit_:"x" "eventcore.cancel_heavy.speedup_x" speedup;
-  (* The ISSUE's acceptance gate, as a machine-independent boolean. *)
+  (* The acceptance gate, as a machine-independent boolean. *)
   record ~unit_:"bool" ~tolerance_pct:(Some 0.0)
     "eventcore.cancel_heavy.speedup_ge_2x"
     (if speedup >= 2.0 then 1.0 else 0.0);
   pf "httperf-heavy closed loop: 32 connections, %.0f s horizon@."
     httperf_heavy_horizon_s;
-  let runs =
-    List.map
-      (fun (tag, queue) ->
-        let (e, gen), wall = wall_of (run_httperf_heavy ~queue) in
-        let events = Simkit.Engine.events_processed e in
-        let rate = float_of_int events /. Float.max wall 1e-9 in
-        pf "  %-14s %8.2f s  %9.0f events/s  (%d requests)@." tag wall rate
-          (Netsim.Httperf.completed gen);
-        record_info ~unit_:"events/s"
-          (Printf.sprintf "eventcore.httperf.%s.events_per_s" tag)
-          rate;
-        (tag, gen))
-      [ ("heap", Simkit.Eventq.Heap); ("calendar", Simkit.Eventq.Calendar) ]
+  let (e, gen), wall = wall_of run_httperf_heavy in
+  let rate =
+    float_of_int (Simkit.Engine.events_processed e) /. Float.max wall 1e-9
   in
-  let summary gen =
-    ( Netsim.Httperf.completed gen,
-      Netsim.Httperf.failed gen,
-      Netsim.Httperf.mean_window_throughput gen ~every:50 )
-  in
-  let agree =
-    summary (List.assoc "heap" runs) = summary (List.assoc "calendar" runs)
-  in
-  pf "  backends agree on completions and throughput windows: %b@." agree;
-  record ~unit_:"bool" ~tolerance_pct:(Some 0.0)
-    "eventcore.httperf.backends_agree"
-    (if agree then 1.0 else 0.0)
+  pf "  %-14s %8.2f s  %9.0f events/s  (%d requests)@." "heap" wall rate
+    (Netsim.Httperf.completed gen);
+  record_info ~unit_:"events/s" "eventcore.httperf.heap.events_per_s" rate
 
 (* --- Bechamel micro-benchmarks -------------------------------------------- *)
 

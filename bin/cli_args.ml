@@ -96,17 +96,6 @@ let clients_arg =
           "Client populations for the elastic_traffic grid (default \
            10,1000,100000; per-request cells cap at 1000)")
 
-let queue_conv = enum_conv Simkit.Eventq.backend_enum
-
-let queue_arg =
-  Arg.(
-    value
-    & opt (some queue_conv) None
-    & info [ "queue" ] ~docv:"BACKEND"
-        ~doc:
-          "Event-queue backend: calendar (default) or heap. Results are \
-           byte-identical either way; this only affects engine speed.")
-
 let jobs_arg =
   Arg.(
     value

@@ -89,12 +89,11 @@ let trace_arg =
 (* `run`'s term, over any source of ids: the positional arguments for
    `run` itself, a constant list for each figure alias. *)
 let run_term ids =
-  let run verbose ids params smoke queue csv json metrics trace =
+  let run verbose ids params smoke csv json metrics trace =
     if Option.is_some trace && not (List.mem "fig7" ids) then
       `Error (false, "--trace needs fig7 among the experiments")
     else begin
       setup_logs verbose;
-      Option.iter Simkit.Engine.set_default_queue queue;
       (* Fresh ambient registry so --metrics reports this run only. *)
       let registry = Obs.reset_ambient () in
       let params = { params with Spec.smoke } in
@@ -120,8 +119,8 @@ let run_term ids =
   Term.(
     ret
       (const run $ verbose_arg $ ids $ params_term $ smoke_arg
-      $ Cli_args.queue_arg $ Cli_args.csv_arg $ Cli_args.json_arg
-      $ Cli_args.metrics_arg $ trace_arg))
+      $ Cli_args.csv_arg $ Cli_args.json_arg $ Cli_args.metrics_arg
+      $ trace_arg))
 
 let run_cmd =
   let ids_arg =

@@ -27,8 +27,8 @@
       test/test_traffic.ml).
 
     The fluid path draws no random numbers and schedules only a fixed
-    epoch tick, so seeded runs are byte-identical across event-queue
-    backends and fleet partition counts. *)
+    epoch tick, so seeded runs are byte-identical across fleet
+    partition counts. *)
 
 type mode = Per_request | Fluid | Hybrid
 

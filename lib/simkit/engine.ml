@@ -4,56 +4,37 @@ type handle = {
   action : unit -> unit;
 }
 
-type compaction = [ `Auto | `Threshold of float | `Off ]
+type compaction = [ `Auto | `Off ]
 
 type t = {
   mutable clock : float;
-  queue : handle Eventq.t;
+  queue : handle Heap.t;
   mutable processed : int;
   mutable scheduled : int;
   mutable tombstones : int;
   mutable compactions : int;
-  compact_above : float option;  (* tombstone/pending ratio; None = off *)
+  compact : bool;
   root_rng : Rng.t;
 }
 
-(* Per-domain default backend, so whole-program runs (experiments build
-   their own engines deep inside Scenario) can be steered onto one
-   backend without threading a parameter through every layer. *)
-let default_queue_key = Domain.DLS.new_key (fun () -> ref Eventq.Calendar)
-
-let default_queue () = !(Domain.DLS.get default_queue_key)
-let set_default_queue b = Domain.DLS.get default_queue_key := b
-
-let with_default_queue b f =
-  let cell = Domain.DLS.get default_queue_key in
-  let saved = !cell in
-  cell := b;
-  Fun.protect ~finally:(fun () -> cell := saved) f
-
-let auto_compact_ratio = 0.5
+(* Compact once tombstones exceed this fraction of the pending queue. *)
+let compact_ratio = 0.5
 
 (* Below this many pending entries compaction cannot pay for itself. *)
 let compact_min_pending = 64
 
-let create ?(seed = 42) ?queue ?(compaction = `Auto) () =
-  let backend = match queue with Some b -> b | None -> default_queue () in
-  let compact_above =
-    match compaction with
-    | `Auto -> Some auto_compact_ratio
-    | `Threshold r ->
-      if r <= 0.0 then invalid_arg "Engine.create: compaction threshold <= 0";
-      Some r
-    | `Off -> None
-  in
+let create ?(seed = 42) ?(compaction = `Auto) () =
+  (* The heap's filler for vacated slots: a handle that can neither
+     fire nor be cancelled. *)
+  let dummy = { cancelled = true; fired = true; action = ignore } in
   {
     clock = 0.0;
-    queue = Eventq.create ~backend ();
+    queue = Heap.create ~dummy;
     processed = 0;
     scheduled = 0;
     tombstones = 0;
     compactions = 0;
-    compact_above;
+    compact = compaction = `Auto;
     root_rng = Rng.create seed;
   }
 
@@ -62,12 +43,14 @@ let now t = t.clock
 let rng t = t.root_rng
 
 let schedule_at t ~time action =
+  if not (Float.is_finite time) then
+    invalid_arg (Printf.sprintf "Engine.schedule_at: non-finite time %g" time);
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
          t.clock);
   let h = { cancelled = false; fired = false; action } in
-  Eventq.add t.queue ~key:time h;
+  Heap.add t.queue ~key:time h;
   t.scheduled <- t.scheduled + 1;
   h
 
@@ -81,20 +64,18 @@ let schedule t ~delay action =
    retries) cancel nearly everything they schedule, and without this
    the queue holds every dead timeout until its original expiry. *)
 let maybe_compact t =
-  match t.compact_above with
-  | None -> ()
-  | Some ratio ->
-    let pending = Eventq.length t.queue in
-    if
-      pending >= compact_min_pending
-      && float_of_int t.tombstones > ratio *. float_of_int pending
-    then begin
-      let removed =
-        Eventq.compact t.queue ~live:(fun h -> not h.cancelled)
-      in
-      t.tombstones <- t.tombstones - removed;
-      t.compactions <- t.compactions + 1
-    end
+  let pending = Heap.length t.queue in
+  if
+    t.compact
+    && pending >= compact_min_pending
+    && float_of_int t.tombstones > compact_ratio *. float_of_int pending
+  then begin
+    let removed =
+      Heap.filter_inplace t.queue ~keep:(fun h -> not h.cancelled)
+    in
+    t.tombstones <- t.tombstones - removed;
+    t.compactions <- t.compactions + 1
+  end
 
 let cancel t h =
   if not (h.cancelled || h.fired) then begin
@@ -103,32 +84,25 @@ let cancel t h =
     maybe_compact t
   end
 
-let pending t = Eventq.length t.queue
+let pending t = Heap.length t.queue
 
 let events_processed t = t.processed
 
 let events_scheduled t = t.scheduled
 
 type queue_stats = {
-  qs_backend : Eventq.backend;
   qs_pending : int;
   qs_tombstones : int;
   qs_compactions : int;
-  qs_buckets : int;
-  qs_bucket_width : float;
   qs_resizes : int;
 }
 
 let queue_stats t =
-  let s = Eventq.stats t.queue in
   {
-    qs_backend = Eventq.backend t.queue;
-    qs_pending = Eventq.length t.queue;
+    qs_pending = Heap.length t.queue;
     qs_tombstones = t.tombstones;
     qs_compactions = t.compactions;
-    qs_buckets = s.Eventq.q_buckets;
-    qs_bucket_width = s.Eventq.q_bucket_width;
-    qs_resizes = s.Eventq.q_resizes;
+    qs_resizes = 0;
   }
 
 (* Cumulative event count of every engine stepped on the current domain.
@@ -145,7 +119,7 @@ let add_domain_events n =
   c := !c + n
 
 let rec step t =
-  match Eventq.pop t.queue with
+  match Heap.pop t.queue with
   | None -> false
   | Some (time, h) ->
     if h.cancelled then begin
@@ -161,12 +135,12 @@ let rec step t =
       true
     end
 
-(* Discard cancelled entries sitting at the head so that [Eventq.min]
+(* Discard cancelled entries sitting at the head so that [Heap.min]
    reflects the next event that will actually fire. *)
 let rec next_live t =
-  match Eventq.min t.queue with
+  match Heap.min t.queue with
   | Some (_, h) when h.cancelled ->
-    ignore (Eventq.pop t.queue);
+    ignore (Heap.pop t.queue);
     t.tombstones <- t.tombstones - 1;
     next_live t
   | other -> other

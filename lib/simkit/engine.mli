@@ -4,9 +4,8 @@
     behaviour in the simulator — disk transfers, OS boots, rejuvenation
     steps, workload probes — is expressed as callbacks scheduled on an
     engine. Execution is fully deterministic: events fire in
-    (time, insertion order), and both {!Eventq} backends preserve that
-    order exactly, so a seeded run is byte-identical whichever queue
-    it executes on.
+    (time, insertion order), the order of the engine's stable binary
+    {!Heap}, so a seeded run is byte-identical from run to run.
 
     An engine is also the unit of {e partitioned} time: {!Par_engine}
     steps several of them (one per OCaml domain) in quantum-synchronous
@@ -18,36 +17,20 @@ type t
 type handle
 (** A scheduled event, usable for cancellation. *)
 
-type compaction = [ `Auto | `Threshold of float | `Off ]
+type compaction = [ `Auto | `Off ]
 (** Tombstone hygiene for cancelled events (see {!create}). *)
 
-val create :
-  ?seed:int -> ?queue:Eventq.backend -> ?compaction:compaction -> unit -> t
+val create : ?seed:int -> ?compaction:compaction -> unit -> t
 (** Fresh engine with the clock at 0. [seed] (default 42) seeds the
     engine's root random stream.
 
-    [queue] picks the event-queue backend (default: the ambient
-    {!default_queue}, initially {!Eventq.Calendar}). Both backends
-    execute a seeded run identically; they differ only in cost.
-
     [compaction] controls tombstone compaction: cancelled events are
-    removed lazily, and once they exceed the given fraction of the
-    pending queue (and the queue is non-trivially large) the queue is
-    filtered in one O(n) pass. [`Auto] (default) compacts above a 0.5
-    tombstone ratio, [`Threshold r] above [r] (must be positive),
-    [`Off] never — cancelled entries then linger until their original
-    expiry, as timeout-heavy workloads painfully demonstrate.
-    Compaction never changes execution order or results. *)
-
-val default_queue : unit -> Eventq.backend
-(** The calling domain's default backend for {!create}. *)
-
-val set_default_queue : Eventq.backend -> unit
-
-val with_default_queue : Eventq.backend -> (unit -> 'a) -> 'a
-(** Run [f] with the domain default swapped, restoring it afterwards —
-    how the test suite and CLI pin a whole experiment (which builds its
-    engines internally) onto one backend. *)
+    removed lazily, and once they exceed half of the pending queue
+    (and the queue holds at least 64 entries) the queue is filtered in
+    one O(n) pass. [`Auto] (default) compacts; [`Off] never does —
+    cancelled entries then linger until their original expiry, as
+    timeout-heavy workloads painfully demonstrate. Compaction never
+    changes execution order or results. *)
 
 val now : t -> float
 (** Current simulated time in seconds. *)
@@ -57,12 +40,12 @@ val rng : t -> Rng.t
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** Run a callback at an absolute time. Raises [Invalid_argument] when
-    [time] is in the simulated past. *)
+    [time] is NaN, infinite or in the simulated past. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
-(** Run a callback [delay] seconds from now. Negative delays are
-    rejected; a zero delay runs after already-pending events at the
-    current time. *)
+(** Run a callback [delay] seconds from now. Negative, NaN and infinite
+    delays are rejected; a zero delay runs after already-pending events
+    at the current time. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event. Cancelling an already-fired or cancelled
@@ -81,13 +64,12 @@ val events_scheduled : t -> int
     self-observability surface, sampled by the [Obs] metrics plane. *)
 
 type queue_stats = {
-  qs_backend : Eventq.backend;
   qs_pending : int;  (** entries in the queue, tombstones included *)
   qs_tombstones : int;  (** cancelled entries awaiting compaction/expiry *)
   qs_compactions : int;  (** compaction passes run so far *)
-  qs_buckets : int;  (** calendar bucket count (0 on the heap) *)
-  qs_bucket_width : float;  (** calendar day width, seconds *)
-  qs_resizes : int;  (** calendar resizes so far *)
+  qs_resizes : int;
+      (** always 0: the heap never resizes. Kept so existing readers of
+          the field still build. *)
 }
 
 val queue_stats : t -> queue_stats

@@ -1,7 +1,7 @@
 (** Uniform string <-> value mapping for CLI-facing enumerations.
 
     Every user-facing enum in the tree (reboot strategy, workload,
-    event-queue backend, metrics format, wave strategy) parses and
+    metrics format, wave strategy) parses and
     prints through one of these, so they all share the same
     case-insensitive matching and the same rejection message shape:
     ["unknown <what> \"x\"; expected one of a, b, c"]. The [`Msg]

@@ -4,11 +4,18 @@ type 'a t = {
   mutable data : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
+  dummy : 'a entry;  (* fills every slot at or past [size] *)
 }
 
 let initial_capacity = 16
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create ~dummy =
+  {
+    data = [||];
+    size = 0;
+    next_seq = 0;
+    dummy = { key = Float.infinity; seq = -1; value = dummy };
+  }
 
 let length t = t.size
 
@@ -18,15 +25,6 @@ let is_empty t = t.size = 0
    sequence number breaking ties so that equal-key entries stay FIFO. *)
 let before e1 e2 =
   e1.key < e2.key || (e1.key = e2.key && e1.seq < e2.seq)
-
-let grow t =
-  let capacity = Array.length t.data in
-  if t.size = capacity then begin
-    let new_capacity = if capacity = 0 then initial_capacity else 2 * capacity in
-    let data = Array.make new_capacity t.data.(0) in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -54,12 +52,18 @@ let rec sift_down t i =
   end
 
 let add t ~key value =
-  let entry = { key; seq = t.next_seq; value } in
+  let capacity = Array.length t.data in
+  if t.size = capacity then begin
+    let data =
+      Array.make
+        (if capacity = 0 then initial_capacity else 2 * capacity)
+        t.dummy
+    in
+    Array.blit t.data 0 data 0 t.size;
+    t.data <- data
+  end;
+  t.data.(t.size) <- { key; seq = t.next_seq; value };
   t.next_seq <- t.next_seq + 1;
-  if t.size = 0 && Array.length t.data = 0 then
-    t.data <- Array.make initial_capacity entry
-  else grow t;
-  t.data.(t.size) <- entry;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
@@ -69,27 +73,19 @@ let min t =
     let e = t.data.(0) in
     Some (e.key, e.value)
 
+(* The vacated last slot gets the sentinel, so a popped value is
+   unreachable from the heap as soon as the caller drops it. *)
 let pop t =
   if t.size = 0 then None
   else begin
     let e = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
+    let last = t.size - 1 in
+    t.data.(0) <- t.data.(last);
+    t.data.(last) <- t.dummy;
+    t.size <- last;
+    sift_down t 0;
     Some (e.key, e.value)
   end
-
-let clear t =
-  t.size <- 0;
-  t.data <- [||]
-
-let drain t =
-  let rec go acc =
-    match pop t with Some kv -> go (kv :: acc) | None -> List.rev acc
-  in
-  go []
 
 let filter_inplace t ~keep =
   let n = t.size in
@@ -102,16 +98,11 @@ let filter_inplace t ~keep =
     end
   done;
   t.size <- !kept;
-  if t.size = 0 then t.data <- [||]
-  else begin
-    (* Release dropped values to the GC, then restore the heap shape.
-       Entries keep their sequence numbers, so FIFO tie-breaking against
-       both surviving and future entries is unchanged. *)
-    for i = t.size to n - 1 do
-      t.data.(i) <- t.data.(0)
-    done;
-    for i = (t.size / 2) - 1 downto 0 do
-      sift_down t i
-    done
-  end;
+  (* Release dropped values to the GC, then restore the heap shape.
+     Entries keep their sequence numbers, so FIFO tie-breaking against
+     both surviving and future entries is unchanged. *)
+  Array.fill t.data t.size (n - t.size) t.dummy;
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t i
+  done;
   n - !kept

@@ -5,8 +5,10 @@
 
 type 'a t
 
-val create : unit -> 'a t
-(** [create ()] is an empty heap. *)
+val create : dummy:'a -> 'a t
+(** [create ~dummy] is an empty heap. [dummy] fills every array slot
+    not holding a live entry, so values the heap has popped or dropped
+    are never kept reachable by it; it is never returned. *)
 
 val length : 'a t -> int
 (** Number of entries currently in the heap. *)
@@ -22,13 +24,6 @@ val min : 'a t -> (float * 'a) option
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the smallest entry. Ties are popped in insertion
     order. O(log n). *)
-
-val clear : 'a t -> unit
-(** Remove every entry. *)
-
-val drain : 'a t -> (float * 'a) list
-(** Pop everything: the heap's remaining entries in (key, FIFO) order,
-    leaving it empty. O(n log n). *)
 
 val filter_inplace : 'a t -> keep:('a -> bool) -> int
 (** [filter_inplace t ~keep] drops every entry whose value fails [keep]

@@ -117,6 +117,42 @@ let test_negative_delay_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_non_finite_time_rejected () =
+  let e = Engine.create () in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, bad) ->
+      check_true ("schedule ~delay:" ^ name)
+        (raises (fun () -> Engine.schedule e ~delay:bad ignore));
+      check_true ("schedule_at ~time:" ^ name)
+        (raises (fun () -> Engine.schedule_at e ~time:bad ignore)))
+    [ ("nan", Float.nan); ("infinity", Float.infinity) ];
+  check_int "nothing queued" 0 (Engine.pending e);
+  check_int "nothing scheduled" 0 (Engine.events_scheduled e)
+
+(* Once an event has fired, neither its handle nor its closure stays
+   reachable from the engine's queue. *)
+let test_fired_events_released () =
+  let e = Engine.create () in
+  let tracked = Weak.create 2 in
+  let arm i =
+    let payload = ref i in
+    Weak.set tracked i (Some payload);
+    ignore (Engine.schedule e ~delay:1.0 (fun () -> incr payload))
+  in
+  arm 0;
+  arm 1;
+  Engine.run e;
+  Gc.full_major ();
+  check_false "first payload collected" (Weak.check tracked 0);
+  check_false "second payload collected" (Weak.check tracked 1);
+  check_int "engine still alive" 2 (Engine.events_processed e)
+
 let test_events_processed () =
   let e = Engine.create () in
   for i = 1 to 7 do
@@ -176,6 +212,10 @@ let suite =
         test_schedule_in_past_rejected;
       Alcotest.test_case "negative delay rejected" `Quick
         test_negative_delay_rejected;
+      Alcotest.test_case "non-finite time rejected" `Quick
+        test_non_finite_time_rejected;
+      Alcotest.test_case "fired events are released" `Quick
+        test_fired_events_released;
       Alcotest.test_case "events processed" `Quick test_events_processed;
       Alcotest.test_case "step" `Quick test_step;
       prop_monotonic_clock;

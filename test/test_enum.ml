@@ -76,8 +76,6 @@ let test_wired_enums () =
   Alcotest.(check (list string))
     "workloads" [ "ssh"; "jboss"; "web" ]
     (Enum.names Rejuv.Scenario.workload_enum);
-  check_true "eventq backend"
-    (Simkit.Eventq.backend_of_string "heap" = Ok Simkit.Eventq.Heap);
   check_true "metrics format alias"
     (Obs.Export.format_of_string "prometheus" = Ok Obs.Export.Prom);
   check_true "wave strategy alias"

@@ -1,7 +1,6 @@
 (* The quantum-synchronous executor: round/barrier unit tests,
    partition-count invariance as a QCheck law, and the golden
-   byte-identity of the fleet_rolling grid across partition counts and
-   both Eventq backends. *)
+   byte-identity of the fleet_rolling grid across partition counts. *)
 open Helpers
 module Par = Simkit.Par_engine
 module Engine = Simkit.Engine
@@ -115,11 +114,11 @@ let qcheck_partition_invariance =
       String.length one > 100 && one = run 2 && one = run 4)
 
 (* Golden: the fleet_rolling smoke cell, via the registry exactly as
-   the sweep runner drives it, is byte-identical for partitions 1/2/4
-   under both event-queue backends. This is the identity the sweep
+   the sweep runner drives it, matches its pinned digest and is
+   byte-identical for partitions 1/2/4. This is the identity the sweep
    cache relies on when it serves a cell computed at a different
    partitioning (partitions is deliberately absent from params_key). *)
-let test_fleet_rolling_golden_across_backends () =
+let test_fleet_rolling_golden_across_partitions () =
   let module E = Rejuv.Experiment in
   let spec = E.Spec.find_exn "fleet_rolling" in
   let rolling ~partitions =
@@ -127,17 +126,12 @@ let test_fleet_rolling_golden_across_backends () =
     check_true "smoke grid is non-empty" (spec.E.Spec.cells params <> []);
     E.Result.to_json (E.run ~params "fleet_rolling")
   in
-  List.iter
-    (fun backend ->
-      let name = Simkit.Eventq.backend_name backend in
-      Engine.with_default_queue backend (fun () ->
-          let one = rolling ~partitions:1 in
-          check_true (name ^ ": non-trivial payload") (String.length one > 100);
-          Alcotest.(check string) (name ^ ": partitions 1 = 2") one
-            (rolling ~partitions:2);
-          Alcotest.(check string) (name ^ ": partitions 1 = 4") one
-            (rolling ~partitions:4)))
-    [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+  let one = rolling ~partitions:1 in
+  Alcotest.(check string)
+    "pinned digest" "511383c6836d81f9dd2ba2ca2a8f35bf"
+    (Digest.to_hex (Digest.string one));
+  Alcotest.(check string) "partitions 1 = 2" one (rolling ~partitions:2);
+  Alcotest.(check string) "partitions 1 = 4" one (rolling ~partitions:4)
 
 let suite =
   ( "par_engine",
@@ -151,6 +145,6 @@ let suite =
       Alcotest.test_case "until is inclusive" `Quick
         test_until_is_inclusive_and_leaves_the_future;
       qcheck_partition_invariance;
-      Alcotest.test_case "fleet_rolling golden across backends" `Slow
-        test_fleet_rolling_golden_across_backends;
+      Alcotest.test_case "fleet_rolling golden across partitions" `Slow
+        test_fleet_rolling_golden_across_partitions;
     ] )

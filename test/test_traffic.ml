@@ -1,9 +1,9 @@
 (* The hybrid fluid-flow traffic model (Netsim.Fluid): closed-form
    steady state, outage/ramp dynamics, capacity sharing between the
    tracer cohort and the fluid bulk, the Hybrid = Per_request
-   equivalence law, byte-identical experiment JSON across event-queue
-   backends and fleet partitions, and the O(log n) httperf window
-   queries it leans on. *)
+   equivalence law, pinned experiment JSON that is byte-identical
+   across fleet partitions, and the O(log n) httperf window queries it
+   leans on. *)
 open Helpers
 module Engine = Simkit.Engine
 module Fluid = Netsim.Fluid
@@ -424,29 +424,32 @@ let test_traffic_gauges () =
 
 (* --- golden experiment JSON ----------------------------------------------- *)
 
-(* Every traffic mode must produce byte-identical elastic_traffic JSON
-   on both event-queue backends for the same seed. *)
-let test_traffic_cell_golden_backends () =
+(* Each traffic mode's elastic_traffic JSON for seed 7, pinned. *)
+let test_traffic_cell_golden_modes () =
   List.iter
-    (fun mode ->
-      let cell () =
-        Experiment.Result.to_json
-          (Experiment.Result.Traffic
-             [ Experiment.run_traffic_cell ~seed:7 (mode, 200, Strategy.Warm) ])
-      in
-      let heap = Simkit.Engine.with_default_queue Simkit.Eventq.Heap cell in
-      let cal = Simkit.Engine.with_default_queue Simkit.Eventq.Calendar cell in
-      check_true
-        (Fluid.mode_name mode ^ ": non-trivial payload")
-        (String.length heap > 100);
+    (fun (mode, golden) ->
       Alcotest.(check string)
-        (Fluid.mode_name mode ^ ": heap = calendar")
-        heap cal)
-    [ Fluid.Per_request; Fluid.Fluid; Fluid.Hybrid ]
+        (Fluid.mode_name mode ^ " bytes")
+        golden
+        (Experiment.Result.to_json
+           (Experiment.Result.Traffic
+              [ Experiment.run_traffic_cell ~seed:7 (mode, 200, Strategy.Warm) ])))
+    [
+      ( Fluid.Per_request,
+        {|{"kind":"traffic","data":[{"traffic":"per-request","clients":200,"strategy":"warm","steady_rps":240,"outage_s":45.8623206034,"completed":17600,"failed":17000,"tracer_requests":34600}]}|}
+      );
+      ( Fluid.Fluid,
+        {|{"kind":"traffic","data":[{"traffic":"fluid","clients":200,"strategy":"warm","steady_rps":238.418579102,"outage_s":42.7,"completed":17488,"failed":17080,"tracer_requests":0}]}|}
+      );
+      ( Fluid.Hybrid,
+        {|{"kind":"traffic","data":[{"traffic":"hybrid","clients":200,"strategy":"warm","steady_rps":239.399060059,"outage_s":42.7,"completed":17681,"failed":17082,"tracer_requests":16808}]}|}
+      );
+    ]
 
 (* A fleet cell carrying fluid/hybrid host traffic stays byte-identical
-   across partition counts and both backends — the partitioned-time
-   invariant extends to the new flow streams (which draw no RNG). *)
+   across partition counts — the partitioned-time invariant extends to
+   the flow streams (which draw no RNG) — and matches its pinned
+   digest. *)
 let test_fleet_traffic_golden_partitions () =
   let cell ~mode ~partitions () =
     Experiment.Result.to_json
@@ -461,25 +464,24 @@ let test_fleet_traffic_golden_partitions () =
          ])
   in
   List.iter
-    (fun backend ->
-      let bname = Simkit.Eventq.backend_name backend in
-      Simkit.Engine.with_default_queue backend (fun () ->
-          List.iter
-            (fun mode ->
-              let tag = bname ^ "/" ^ Fluid.mode_name mode in
-              let one = cell ~mode ~partitions:1 () in
-              check_true (tag ^ ": non-trivial payload")
-                (String.length one > 100);
-              Alcotest.(check string)
-                (tag ^ ": partitions 1 = 2")
-                one
-                (cell ~mode ~partitions:2 ());
-              Alcotest.(check string)
-                (tag ^ ": partitions 1 = 4")
-                one
-                (cell ~mode ~partitions:4 ()))
-            [ Fluid.Fluid; Fluid.Hybrid ]))
-    [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+    (fun (mode, md5) ->
+      let tag = Fluid.mode_name mode in
+      let one = cell ~mode ~partitions:1 () in
+      Alcotest.(check string)
+        (tag ^ ": pinned digest") md5
+        (Digest.to_hex (Digest.string one));
+      Alcotest.(check string)
+        (tag ^ ": partitions 1 = 2")
+        one
+        (cell ~mode ~partitions:2 ());
+      Alcotest.(check string)
+        (tag ^ ": partitions 1 = 4")
+        one
+        (cell ~mode ~partitions:4 ()))
+    [
+      (Fluid.Fluid, "fadde4b428c1fffc839df1a28d2f8611");
+      (Fluid.Hybrid, "84af894fd6a0c3fc32945137cef67939");
+    ]
 
 (* With blind dispatch a rejuvenating host loses its whole share, so
    here the served fraction decides [lost]. The goldens pin the full
@@ -527,28 +529,23 @@ let test_fleet_blind_dispatch_golden () =
          [ Rejuv.Fleet.run f ~strategy:(Rejuv.Wave.Reboot Strategy.Warm) ])
   in
   List.iter
-    (fun backend ->
-      Simkit.Engine.with_default_queue backend (fun () ->
-          List.iter
-            (fun (mode, golden) ->
-              List.iter
-                (fun partitions ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s/%s: partitions %d"
-                       (Simkit.Eventq.backend_name backend)
-                       (Fluid.mode_name mode) partitions)
-                    golden
-                    (cell ~mode ~partitions))
-                [ 1; 2; 4 ])
-            [
-              ( Fluid.Hybrid,
-                blind_fleet_golden ~offered:67502 ~lost:8588
-                  ~loss_ratio:"0.127225859975" );
-              ( Fluid.Fluid,
-                blind_fleet_golden ~offered:67600 ~lost:8640
-                  ~loss_ratio:"0.127810650888" );
-            ]))
-    [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+    (fun (mode, golden) ->
+      List.iter
+        (fun partitions ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: partitions %d" (Fluid.mode_name mode)
+               partitions)
+            golden
+            (cell ~mode ~partitions))
+        [ 1; 2; 4 ])
+    [
+      ( Fluid.Hybrid,
+        blind_fleet_golden ~offered:67502 ~lost:8588
+          ~loss_ratio:"0.127225859975" );
+      ( Fluid.Fluid,
+        blind_fleet_golden ~offered:67600 ~lost:8640
+          ~loss_ratio:"0.127810650888" );
+    ]
 
 let suite =
   ( "traffic",
@@ -576,8 +573,8 @@ let suite =
       Alcotest.test_case "create validation" `Quick test_create_validation;
       Alcotest.test_case "traffic gauges registered" `Quick
         test_traffic_gauges;
-      Alcotest.test_case "elastic_traffic golden across backends" `Slow
-        test_traffic_cell_golden_backends;
+      Alcotest.test_case "elastic_traffic golden across modes" `Slow
+        test_traffic_cell_golden_modes;
       Alcotest.test_case "fleet traffic golden across partitions" `Slow
         test_fleet_traffic_golden_partitions;
       Alcotest.test_case "fleet blind-dispatch golden" `Slow

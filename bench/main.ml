@@ -1,13 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 5 and the Section 6 model) and prints
-   paper-vs-measured rows, then runs Bechamel micro-benchmarks of the
-   core mechanisms.
+   paper-vs-measured rows, then times the simulator itself.
 
    Usage: main.exe [-j N] [tag ...] where tag is one of
    fig4 fig5 reload fig6a fig6b avail fig7 fig8a fig8b fits policy fig9
    memdyn traffic
    migration ablation cluster fleet parfleet sensitivity faults sweep
-   eventcore micro. No tags = everything. The swept
+   eventcore. No tags = everything. The swept
    figures (fig4/fig5/fig6) run their points through the parallel sweep
    runner on N domains (default: the machine's). *)
 
@@ -908,100 +907,6 @@ let eventcore () =
     (Netsim.Httperf.completed gen);
   record_info ~unit_:"events/s" "eventcore.httperf.heap.events_per_s" rate
 
-(* --- Bechamel micro-benchmarks -------------------------------------------- *)
-
-let micro () =
-  header "Micro-benchmarks (real time of the core mechanisms, Bechamel OLS)";
-  let open Bechamel in
-  let open Toolkit in
-  let p2m_insert =
-    Test.make ~name:"p2m: map 1 GiB (262k pages, one extent)"
-      (Staged.stage (fun () ->
-           let p2m = Xenvmm.P2m.create () in
-           Xenvmm.P2m.add_extent p2m ~pfn_first:0
-             ~mfns:{ Hw.Frame.first = 0; count = 262_144 }))
-  in
-  let p2m_lookup =
-    let p2m = Xenvmm.P2m.create () in
-    for i = 0 to 99 do
-      Xenvmm.P2m.add_extent p2m ~pfn_first:(i * 512)
-        ~mfns:{ Hw.Frame.first = (i * 1024); count = 512 }
-    done;
-    Test.make ~name:"p2m: lookup among 100 runs"
-      (Staged.stage (fun () -> Xenvmm.P2m.lookup p2m ~pfn:25_000))
-  in
-  let frame_cycle =
-    Test.make ~name:"frame: alloc+free 1 GiB"
-      (Staged.stage
-         (let t = Hw.Frame.of_bytes ~total_bytes:(Simkit.Units.gib 12) in
-          fun () ->
-            match Hw.Frame.alloc_bytes t ~bytes:(Simkit.Units.gib 1) with
-            | Some e -> Hw.Frame.free t e
-            | None -> assert false))
-  in
-  let cache_ops =
-    let c =
-      Guest.Page_cache.create ~capacity_bytes:(Simkit.Units.mib 64) ()
-    in
-    let i = ref 0 in
-    Test.make ~name:"page cache: insert+touch"
-      (Staged.stage (fun () ->
-           incr i;
-           Guest.Page_cache.insert c ~file:0 ~block:!i;
-           ignore (Guest.Page_cache.touch c ~file:0 ~block:!i)))
-  in
-  let engine_events =
-    Test.make ~name:"engine: schedule+run 100 events"
-      (Staged.stage (fun () ->
-           let e = Simkit.Engine.create () in
-           for i = 1 to 100 do
-             ignore
-               (Simkit.Engine.schedule e ~delay:(float_of_int i) (fun () -> ()))
-           done;
-           Simkit.Engine.run e))
-  in
-  let simulated_warm_reboot =
-    Test.make ~name:"simulate full warm reboot (2 VMs)"
-      (Staged.stage (fun () ->
-           let s =
-             Rejuv.Scenario.create
-               { Rejuv.Scenario.Config.default with vm_count = 2 }
-           in
-           Rejuv.Roothammer.start_and_run s;
-           ignore
-             (Rejuv.Roothammer.rejuvenate_blocking s
-                ~strategy:Rejuv.Strategy.Warm)))
-  in
-  let tests =
-    Test.make_grouped ~name:"mechanisms"
-      [
-        p2m_insert; p2m_lookup; frame_cycle; cache_ops; engine_events;
-        simulated_warm_reboot;
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second 0.5) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name o acc -> (name, o) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some (est :: _) ->
-        if est > 1e6 then pf "%-50s %12.2f ms/run@." name (est /. 1e6)
-        else if est > 1e3 then pf "%-50s %12.2f us/run@." name (est /. 1e3)
-        else pf "%-50s %12.1f ns/run@." name est
-      | Some [] | None -> pf "%-50s (no estimate)@." name)
-    rows
-
 (* --- driver ---------------------------------------------------------------- *)
 
 let sections =
@@ -1013,7 +918,7 @@ let sections =
     ("fleet", fleet); ("parfleet", parfleet); ("memdyn", memdyn);
     ("traffic", traffic);
     ("sensitivity", sensitivity); ("faults", faults);
-    ("sweep", sweep); ("eventcore", eventcore); ("micro", micro);
+    ("sweep", sweep); ("eventcore", eventcore);
   ]
 
 (* Simulator self-metrics per section: real wall time and the simulated

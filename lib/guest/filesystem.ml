@@ -21,8 +21,6 @@ let create engine ~disk ~cache ?(mem_read_mib_per_s = 950.0) () =
     all_files = [];
   }
 
-let cache t = t.page_cache
-
 let create_file t ?name ~bytes () =
   if bytes <= 0 then invalid_arg "Filesystem.create_file: bytes <= 0";
   let fid = t.next_fid in
@@ -34,7 +32,6 @@ let create_file t ?name ~bytes () =
   t.all_files <- f :: t.all_files;
   f
 
-let file_id f = f.fid
 let file_name f = f.fname
 let file_bytes f = f.size
 let files t = List.rev t.all_files

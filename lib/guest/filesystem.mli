@@ -23,10 +23,7 @@ val create :
   t
 (** [mem_read_mib_per_s] defaults to 950 (cached-read bandwidth). *)
 
-val cache : t -> Page_cache.t
-
 val create_file : t -> ?name:string -> bytes:int -> unit -> file
-val file_id : file -> int
 val file_name : file -> string
 val file_bytes : file -> int
 val files : t -> file list

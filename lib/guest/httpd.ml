@@ -13,7 +13,6 @@ type t = {
   engine : Simkit.Engine.t;
   response_overhead_s : float;
   mutable docs : Filesystem.file array;
-  mutable served : int;
 }
 
 let install kernel ~nic ?(response_overhead_s = 0.0005) () =
@@ -25,10 +24,7 @@ let install kernel ~nic ?(response_overhead_s = 0.0005) () =
     engine = Kernel.engine kernel;
     response_overhead_s;
     docs = [||];
-    served = 0;
   }
-
-let service t = t.svc
 
 let populate t ~file_count ~file_bytes =
   let fs = Kernel.filesystem t.kernel in
@@ -40,8 +36,6 @@ let populate t ~file_count ~file_bytes =
   in
   t.docs <- Array.of_list files;
   files
-
-let documents t = Array.to_list t.docs
 
 let warm_all t =
   let fs = Kernel.filesystem t.kernel in
@@ -70,15 +64,11 @@ let handle_request t ?file ~rng k =
       Filesystem.read fs f ~access:Filesystem.Random (fun () ->
           Simkit.Process.delay t.engine t.response_overhead_s (fun () ->
               Hw.Nic.transfer t.nic ~bytes:(Filesystem.file_bytes f)
-                (fun () ->
-                  t.served <- t.served + 1;
-                  k true)))
+                (fun () -> k true)))
     in
     let tax = fault_tax_s t in
     if tax > 0.0 then Simkit.Process.delay t.engine tax serve else serve ()
   end
-
-let requests_served t = t.served
 
 (* --- aggregate service view (fluid traffic model) ------------------------ *)
 
@@ -130,11 +120,3 @@ let capacity_rps t =
     let cap = Float.min nic_bound cpu_bound in
     if Float.is_finite cap then cap else 0.0
   end
-
-let fluid_server t =
-  {
-    Netsim.Fluid.srv_is_up =
-      (fun () -> Kernel.service_reachable t.kernel t.svc);
-    srv_capacity_rps = (fun () -> capacity_rps t);
-    srv_service_time_s = (fun () -> service_time_s t);
-  }

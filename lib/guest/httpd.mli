@@ -16,13 +16,9 @@ val install :
     [response_overhead_s] models per-request server CPU (default
     0.5 ms). *)
 
-val service : t -> Service.t
-
 val populate :
   t -> file_count:int -> file_bytes:int -> Filesystem.file list
 (** Create the document tree ("10,000 files of 512 KB"). *)
-
-val documents : t -> Filesystem.file list
 
 val warm_all : t -> unit
 (** Preload every document into the page cache. *)
@@ -33,8 +29,6 @@ val handle_request :
     The continuation receives [false] immediately when the server is
     unreachable (VM suspended / service down / no documents), [true]
     when the response has fully left the NIC. *)
-
-val requests_served : t -> int
 
 (** {1 Aggregate service view}
 
@@ -59,6 +53,3 @@ val capacity_rps : t -> float
     (effective bytes/s over mean document size) and the CPU bound
     (1 / response overhead); 0 while the service is unreachable or
     nothing is populated. *)
-
-val fluid_server : t -> Netsim.Fluid.server
-(** Package the three readers as a {!Netsim.Fluid.server}. *)

@@ -7,19 +7,3 @@ let spec =
   }
 
 let install kernel = Kernel.make_service kernel spec
-
-(* Aggregate service view for the fluid traffic model. The simulator
-   has no per-request JBoss path, so the fluid queue runs against a
-   nominal CPU-bound service time — enough for capacity planning in
-   fleet scenarios without inventing a request model the paper never
-   measures. *)
-let nominal_service_time_s = 0.02
-
-let fluid_server kernel svc =
-  let reachable () = Kernel.service_reachable kernel svc in
-  {
-    Netsim.Fluid.srv_is_up = reachable;
-    srv_capacity_rps =
-      (fun () -> if reachable () then 1.0 /. nominal_service_time_s else 0.0);
-    srv_service_time_s = (fun () -> nominal_service_time_s);
-  }

@@ -10,12 +10,3 @@
 val spec : Service.spec
 
 val install : Kernel.t -> Service.t
-
-val nominal_service_time_s : float
-(** Nominal CPU-bound service time (20 ms) behind {!fluid_server} —
-    the simulator has no per-request JBoss path, so the fluid traffic
-    model runs against this constant. *)
-
-val fluid_server : Kernel.t -> Service.t -> Netsim.Fluid.server
-(** Aggregate view for {!Netsim.Fluid}: up iff the service is
-    reachable, capacity [1 / nominal_service_time_s] while up. *)

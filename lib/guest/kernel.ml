@@ -130,7 +130,6 @@ let rebind t vmm dom =
   t.dom <- dom;
   install_handlers t
 let page_cache t = t.pcache
-let timing t = t.ktiming
 
 let add_service t s = t.svc_list <- t.svc_list @ [ s ]
 let services t = t.svc_list
@@ -164,20 +163,7 @@ let shutdown t k =
 
 let reboot_os t = Simkit.Process.seq [ shutdown t; boot t ]
 
-let current_mem_bytes t = Xenvmm.P2m.mapped_bytes (Domain.p2m t.dom)
-
 let io_ring_grants t = t.ring_grants
-
-let balloon t ~delta_bytes =
-  match Vmm.balloon t.vmm t.dom ~delta_bytes with
-  | Error _ as e -> e
-  | Ok () ->
-    let capacity =
-      int_of_float
-        (t.ktiming.cache_fraction *. float_of_int (current_mem_bytes t))
-    in
-    Page_cache.resize t.pcache ~capacity_bytes:capacity;
-    Ok ()
 
 let is_running t = Domain.state t.dom = Domain.Running
 

@@ -47,7 +47,6 @@ val filesystem : t -> Filesystem.t
     VMMs must share one simulation engine. *)
 val rebind : t -> Xenvmm.Vmm.t -> Xenvmm.Domain.t -> unit
 val page_cache : t -> Page_cache.t
-val timing : t -> timing
 
 val add_service : t -> Service.t -> unit
 val services : t -> Service.t list
@@ -64,16 +63,6 @@ val shutdown : t -> Simkit.Process.task
 
 val reboot_os : t -> Simkit.Process.task
 (** OS rejuvenation: shutdown followed by boot in the same domain. *)
-
-val balloon : t -> delta_bytes:int -> (unit, Xenvmm.Vmm.error) result
-(** The balloon driver: grow (+) or shrink (−) this VM's memory via the
-    VMM's memory_op hypercall, resizing the page cache to match. The
-    P2M-mapping table tracks the change, so a later on-memory suspend
-    preserves exactly the current allocation (the paper's Section 4.1
-    ballooning claim). *)
-
-val current_mem_bytes : t -> int
-(** Memory currently mapped to the domain (initial size ± balloons). *)
 
 val io_ring_grants : t -> Xenvmm.Grant_table.grant_ref list
 (** Grant references of the I/O ring pages currently shared with dom0's

@@ -10,7 +10,7 @@ type node = {
 }
 
 type t = {
-  mutable capacity : int;
+  capacity : int;
   block_size : int;
   index : (key, node) Hashtbl.t;
   mutable head : node option; (* most recently used *)
@@ -34,7 +34,6 @@ let create ~capacity_bytes ?(block_bytes = Simkit.Units.page_bytes) () =
     miss_count = 0;
   }
 
-let capacity_bytes t = t.capacity * t.block_size
 let block_bytes t = t.block_size
 let used_bytes t = t.count * t.block_size
 let resident_blocks t = t.count
@@ -97,26 +96,6 @@ let insert t ~file ~block =
       Hashtbl.replace t.index k node;
       push_front t node;
       t.count <- t.count + 1
-
-let resize t ~capacity_bytes =
-  if capacity_bytes < 0 then invalid_arg "Page_cache.resize: negative capacity";
-  t.capacity <- capacity_bytes / t.block_size;
-  while t.count > t.capacity do
-    evict_lru t
-  done
-
-let invalidate_file t ~file =
-  let doomed =
-    Hashtbl.fold (* simlint: allow D003 doubly-linked-list unlinks commute *)
-      (fun k node acc -> if k.file = file then node :: acc else acc)
-      t.index []
-  in
-  List.iter
-    (fun node ->
-      unlink t node;
-      Hashtbl.remove t.index node.nkey;
-      t.count <- t.count - 1)
-    doomed
 
 let clear t =
   Hashtbl.reset t.index;

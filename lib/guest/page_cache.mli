@@ -12,7 +12,6 @@ type t
 val create : capacity_bytes:int -> ?block_bytes:int -> unit -> t
 (** [block_bytes] defaults to the 4 KiB page size. *)
 
-val capacity_bytes : t -> int
 val block_bytes : t -> int
 val used_bytes : t -> int
 val resident_blocks : t -> int
@@ -28,16 +27,8 @@ val insert : t -> file:int -> block:int -> unit
 (** Add a block (after reading it from disk), evicting least-recently-
     used blocks if the cache is full. Re-inserting promotes. *)
 
-val invalidate_file : t -> file:int -> unit
-(** Drop every block of one file (truncate/unlink). *)
-
 val clear : t -> unit
 (** Drop everything and reset the counters — an OS reboot. *)
-
-val resize : t -> capacity_bytes:int -> unit
-(** Change the cache's capacity — what the balloon driver does to the
-    page cache when the VM's memory is inflated or deflated. Shrinking
-    evicts least-recently-used blocks immediately. *)
 
 val hits : t -> int
 val misses : t -> int

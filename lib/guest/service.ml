@@ -7,12 +7,6 @@ type spec = {
 
 type state = Down | Starting | Up | Stopping
 
-let state_name = function
-  | Down -> "down"
-  | Starting -> "starting"
-  | Up -> "up"
-  | Stopping -> "stopping"
-
 type t = {
   engine : Simkit.Engine.t;
   cpu : Simkit.Resource.t;
@@ -32,8 +26,6 @@ let create engine ~cpu spec =
     history = [ (0.0, Down) ];
   }
 
-let spec t = t.svc_spec
-let name t = t.svc_spec.service_name
 let state t = t.svc_state
 let is_up t = t.svc_state = Up
 
@@ -57,9 +49,7 @@ let start t k =
           k ())
     in
     if t.svc_spec.start_shared_work > 0.0 then
-      ignore
-        (Simkit.Resource.submit t.cpu ~work:t.svc_spec.start_shared_work
-           finish)
+      Simkit.Resource.submit t.cpu ~work:t.svc_spec.start_shared_work finish
     else finish ()
 
 let stop t k =

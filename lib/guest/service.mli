@@ -19,14 +19,10 @@ type spec = {
 
 type state = Down | Starting | Up | Stopping
 
-val state_name : state -> string
-
 type t
 
 val create : Simkit.Engine.t -> cpu:Simkit.Resource.t -> spec -> t
 
-val spec : t -> spec
-val name : t -> string
 val state : t -> state
 val is_up : t -> bool
 

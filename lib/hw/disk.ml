@@ -22,7 +22,7 @@ let create engine ?(name = "disk0") ~read_mib_per_s ~write_mib_per_s ~seek_ms
   {
     disk_name = name;
     (* Capacity 1.0: the resource serves one "disk second" per second. *)
-    spindle = Simkit.Resource.create engine ~name ~capacity:1.0;
+    spindle = Simkit.Resource.create engine ~capacity:1.0;
     read_bytes_per_s = read_mib_per_s *. mib;
     write_bytes_per_s = write_mib_per_s *. mib;
     seek_s = seek_ms /. 1000.0;
@@ -34,7 +34,6 @@ let create engine ?(name = "disk0") ~read_mib_per_s ~write_mib_per_s ~seek_ms
     fault_plan = None;
   }
 
-let name t = t.disk_name
 
 let set_fault_plan t plan = t.fault_plan <- plan
 
@@ -56,7 +55,7 @@ let read t ~bytes ?(random = false) ?(ops = 1) k =
     transfer_work t ~bytes ~rate:t.read_bytes_per_s ~random ~ops
   in
   t.total_read <- t.total_read + bytes;
-  ignore (Simkit.Resource.submit t.spindle ~work k)
+  Simkit.Resource.submit t.spindle ~work k
 
 let write t ~bytes ?(random = false) ?(ops = 1) k =
   if bytes < 0 then invalid_arg "Disk.write: negative size";
@@ -64,20 +63,15 @@ let write t ~bytes ?(random = false) ?(ops = 1) k =
     transfer_work t ~bytes ~rate:t.write_bytes_per_s ~random ~ops
   in
   t.total_written <- t.total_written + bytes;
-  ignore (Simkit.Resource.submit t.spindle ~work k)
+  Simkit.Resource.submit t.spindle ~work k
 
 let sequential_read_time t ~bytes =
   transfer_work t ~bytes ~rate:t.read_bytes_per_s ~random:false ~ops:1
-
-let sequential_write_time t ~bytes =
-  transfer_work t ~bytes ~rate:t.write_bytes_per_s ~random:false ~ops:1
 
 let busy_time t = Simkit.Resource.busy_time t.spindle
 let bytes_read t = t.total_read
 let bytes_written t = t.total_written
 
-let capacity_bytes t = t.capacity
-let space_used_bytes t = t.used
 let space_free_bytes t = t.capacity - t.used
 
 let allocate_space t ~bytes =

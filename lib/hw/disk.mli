@@ -24,8 +24,6 @@ val create :
     the spindle is already busy (interleaving); default 1.5.
     [capacity_bytes] defaults to 36.7 GB (the paper's SCSI drive). *)
 
-val name : t -> string
-
 val set_fault_plan : t -> Simkit.Fault.Plan.t option -> unit
 (** Attach (or detach) the scenario's fault-injection plan. When the
     plan's ["disk.write"] site fires, {!allocate_space} reports
@@ -43,8 +41,6 @@ val write :
 val sequential_read_time : t -> bytes:int -> float
 (** Uncontended duration of a sequential read — for analytic checks. *)
 
-val sequential_write_time : t -> bytes:int -> float
-
 val busy_time : t -> float
 (** Total time the spindle has been busy. *)
 
@@ -54,8 +50,6 @@ val bytes_written : t -> int
 (** {1 Space accounting} — persistent objects (e.g. saved VM images)
     occupying the drive. *)
 
-val capacity_bytes : t -> int
-val space_used_bytes : t -> int
 val space_free_bytes : t -> int
 
 val allocate_space : t -> bytes:int -> (unit, [ `Disk_full ]) result

@@ -32,7 +32,6 @@ let total_frames t = t.total
 let free_frames t = t.free_count
 let used_frames t = t.total - t.free_count
 let free_bytes t = t.free_count * Simkit.Units.page_bytes
-let used_bytes t = used_frames t * Simkit.Units.page_bytes
 
 let alloc t ~frames =
   if frames <= 0 then invalid_arg "Frame.alloc: frames <= 0";

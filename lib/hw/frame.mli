@@ -28,7 +28,6 @@ val total_frames : t -> int
 val free_frames : t -> int
 val used_frames : t -> int
 val free_bytes : t -> int
-val used_bytes : t -> int
 
 val alloc : t -> frames:int -> extent list option
 (** Allocate [frames] machine frames, lowest-addressed extents first.

@@ -49,11 +49,9 @@ let create ?(config = default_config) engine =
         ~capacity_bytes:config.disk_capacity_bytes ();
     nic = Nic.create engine ~gbit_per_s:config.nic_gbit_per_s ();
     bios = config.bios;
-    cpu = Simkit.Resource.create engine ~name:"cpu" ~capacity:config.cpu_capacity;
+    cpu = Simkit.Resource.create engine ~capacity:config.cpu_capacity;
     trace = Simkit.Trace.create engine;
   }
 
 let post_time (t : t) =
   Bios.post_time t.bios ~mem_bytes:(Memory.total_bytes t.memory)
-
-let config_mem_bytes c = c.mem_bytes

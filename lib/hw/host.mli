@@ -36,5 +36,3 @@ val create : ?config:config -> Simkit.Engine.t -> t
 
 val post_time : t -> float
 (** Duration of a hardware reset of this host. *)
-
-val config_mem_bytes : config -> int

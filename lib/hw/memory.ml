@@ -16,7 +16,6 @@ let create ~total_bytes ~scrub_seconds_per_gib =
 let frames t = t.allocator
 let total_bytes t = t.total
 let free_bytes t = Frame.free_bytes t.allocator
-let used_bytes t = Frame.used_bytes t.allocator
 
 let scrub_time t ~bytes =
   Simkit.Units.bytes_to_gib bytes *. t.scrub_s_per_gib

@@ -16,7 +16,6 @@ val frames : t -> Frame.t
 
 val total_bytes : t -> int
 val free_bytes : t -> int
-val used_bytes : t -> int
 
 val scrub_time : t -> bytes:int -> float
 (** Simulated time to scrub that many bytes. *)

@@ -1,25 +1,19 @@
 type t = {
-  nic_name : string;
   wire : Simkit.Resource.t;
   full_bytes_per_s : float;
-  mutable degradation_factor : float;
 }
 
-let create engine ?(name = "eth0") ~gbit_per_s () =
+let create engine ~gbit_per_s () =
   if gbit_per_s <= 0.0 then invalid_arg "Nic.create: non-positive bandwidth";
   let bytes_per_s = gbit_per_s *. 1e9 /. 8.0 in
   {
-    nic_name = name;
-    wire = Simkit.Resource.create engine ~name ~capacity:bytes_per_s;
+    wire = Simkit.Resource.create engine ~capacity:bytes_per_s;
     full_bytes_per_s = bytes_per_s;
-    degradation_factor = 1.0;
   }
-
-let name t = t.nic_name
 
 let transfer t ~bytes k =
   if bytes < 0 then invalid_arg "Nic.transfer: negative size";
-  ignore (Simkit.Resource.submit t.wire ~work:(float_of_int bytes) k)
+  Simkit.Resource.submit t.wire ~work:(float_of_int bytes) k
 
 let effective_bytes_per_s t = Simkit.Resource.capacity t.wire
 
@@ -28,11 +22,7 @@ let transfer_time t ~bytes = float_of_int bytes /. effective_bytes_per_s t
 let set_degradation t ~factor =
   if factor <= 0.0 || factor > 1.0 then
     invalid_arg "Nic.set_degradation: factor must be in (0, 1]";
-  t.degradation_factor <- factor;
   Simkit.Resource.set_capacity t.wire (t.full_bytes_per_s *. factor)
 
 let clear_degradation t =
-  t.degradation_factor <- 1.0;
   Simkit.Resource.set_capacity t.wire t.full_bytes_per_s
-
-let degradation t = t.degradation_factor

@@ -7,10 +7,7 @@
 
 type t
 
-val create :
-  Simkit.Engine.t -> ?name:string -> gbit_per_s:float -> unit -> t
-
-val name : t -> string
+val create : Simkit.Engine.t -> gbit_per_s:float -> unit -> t
 
 val transfer : t -> bytes:int -> (unit -> unit) -> unit
 (** Send [bytes]; continuation fires when the wire time has elapsed.
@@ -23,7 +20,5 @@ val set_degradation : t -> factor:float -> unit
 (** Scale effective bandwidth by [factor] (0 < factor <= 1). *)
 
 val clear_degradation : t -> unit
-
-val degradation : t -> float
 
 val effective_bytes_per_s : t -> float

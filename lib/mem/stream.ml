@@ -16,7 +16,6 @@ let create ~memdyn ~cold_bytes =
   }
 
 let cold_bytes t = t.cold
-let remaining_bytes t = t.remaining
 let next_batch_bytes t = min t.batch t.remaining
 
 let note_paged_in t ~bytes_ =

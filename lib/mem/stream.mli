@@ -22,7 +22,6 @@ val create : memdyn:Memdyn.t -> cold_bytes:int -> t
 val cold_bytes : t -> int
 (** Total cold bytes at creation. *)
 
-val remaining_bytes : t -> int
 val next_batch_bytes : t -> int
 (** Size of the next background read:
     [min stream_batch_bytes remaining]. [0] once complete. *)

@@ -39,13 +39,6 @@ let default_config =
     epoch_s = 0.1;
   }
 
-let config_label cfg =
-  match cfg.mode with
-  | Per_request -> Printf.sprintf "mode=per-request clients=%d" cfg.clients
-  | Fluid -> Printf.sprintf "mode=fluid clients=%d" cfg.clients
-  | Hybrid ->
-    Printf.sprintf "mode=hybrid clients=%d tracers=%d" cfg.clients cfg.tracers
-
 (* --- fluid integrator ----------------------------------------------------
 
    One self-rescheduling epoch tick (Prober-style). Over each epoch the
@@ -234,49 +227,6 @@ let core_throughput_between c ~lo ~hi =
   if hi <= lo then invalid_arg "Fluid.throughput_between: empty interval";
   (core_cum_at c hi -. core_cum_at c lo) /. (hi -. lo)
 
-(* Figure 7 blocks from the cumulative curve: every time it crosses a
-   multiple of [every], close a block at the interpolated crossing
-   time. The first completion (cum crossing 1) opens block 1, matching
-   the per-request convention; the trailing partial block is dropped. *)
-let core_mean_window c ~every =
-  let n = Simkit.Fvec.length c.c_epoch_end in
-  if n = 0 then []
-  else begin
-    let acc = ref [] in
-    let block_start = ref None in
-    let target = ref 1.0 in
-    let prev_t = ref c.c_started_at and prev_cum = ref 0.0 in
-    for i = 0 to n - 1 do
-      let t = Simkit.Fvec.get c.c_epoch_end i in
-      let cum = Simkit.Fvec.get c.c_cum i in
-      let continue = ref true in
-      while !continue && cum >= !target do
-        let cross =
-          if cum <= !prev_cum then t
-          else
-            !prev_t
-            +. ((t -. !prev_t) *. ((!target -. !prev_cum) /. (cum -. !prev_cum)))
-        in
-        (match !block_start with
-        | None ->
-          (* First completion: opens the first block. *)
-          block_start := Some cross;
-          target := float_of_int every
-        | Some start ->
-          let rate =
-            float_of_int every /. Float.max (cross -. start) 1e-9
-          in
-          acc := (cross, rate) :: !acc;
-          block_start := Some cross;
-          target := !target +. float_of_int every);
-        if !target > cum then continue := false
-      done;
-      prev_t := t;
-      prev_cum := cum
-    done;
-    List.rev !acc
-  end
-
 (* --- the three-mode front ------------------------------------------------ *)
 
 (* Hybrid semantics are {e additive}: the tracer cohort is simulated
@@ -353,9 +303,6 @@ let stop t =
   Option.iter Httperf.stop t.f_tracer;
   Option.iter core_stop t.f_core
 
-let mode t = t.f_cfg.mode
-let clients t = t.f_cfg.clients
-let tracer t = t.f_tracer
 let flows t = float_of_int t.f_cfg.clients
 
 let completed t =
@@ -379,7 +326,7 @@ let offered_rps t =
   let traced =
     match t.f_tracer with
     | Some h ->
-      Simkit.Series.Counter.last_window_rate (Httperf.counter h)
+      Obs.Metric.Counter.last_window_rate (Httperf.counter h)
         ~now:(Simkit.Engine.now t.f_engine)
     | None -> 0.0
   in
@@ -402,92 +349,6 @@ let throughput_between t ~lo ~hi =
        [tracers = clients] case bit-equal to per-request. *)
     Httperf.throughput_between h ~lo ~hi +. core_throughput_between c ~lo ~hi
   | _ -> 0.0
-
-(* Tracer completions at or before [time] (binary search). *)
-let count_upto times time =
-  let n = Simkit.Fvec.length times in
-  let lo = ref (-1) and hi = ref n in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) / 2 in
-    if Simkit.Fvec.get times mid <= time then lo := mid else hi := mid
-  done;
-  !lo + 1
-
-(* Hybrid Figure 7 blocks: the combined cumulative curve is the
-   tracer's step function plus the core's piecewise-linear fluid curve.
-   Walk their merged breakpoints and close a block at every crossing of
-   a multiple of [every], exactly like [core_mean_window]. Between
-   breakpoints the step part is linearised — a sub-epoch smear on block
-   boundaries, nothing more. *)
-let hybrid_mean_window h c ~every =
-  let times = Httperf.completion_times h in
-  let nt = Simkit.Fvec.length times in
-  let ne = Simkit.Fvec.length c.c_epoch_end in
-  if ne = 0 then
-    (* Bulk never ticked (zero flows): pure per-request computation. *)
-    Httperf.mean_window_throughput h ~every
-  else begin
-    let pts = Array.make (nt + ne) 0.0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < nt || !j < ne do
-      let take_tracer =
-        !j >= ne
-        || !i < nt
-           && Simkit.Fvec.get times !i <= Simkit.Fvec.get c.c_epoch_end !j
-      in
-      if take_tracer then begin
-        pts.(!k) <- Simkit.Fvec.get times !i;
-        incr i
-      end
-      else begin
-        pts.(!k) <- Simkit.Fvec.get c.c_epoch_end !j;
-        incr j
-      end;
-      incr k
-    done;
-    let cum_at time =
-      core_cum_at c time +. float_of_int (count_upto times time)
-    in
-    let acc = ref [] in
-    let block_start = ref None in
-    let target = ref 1.0 in
-    let prev_t = ref c.c_started_at and prev_cum = ref 0.0 in
-    Array.iter
-      (fun time ->
-        let cum = cum_at time in
-        let continue = ref true in
-        while !continue && cum >= !target do
-          let cross =
-            if cum <= !prev_cum then time
-            else
-              !prev_t
-              +. (time -. !prev_t)
-                 *. ((!target -. !prev_cum) /. (cum -. !prev_cum))
-          in
-          (match !block_start with
-          | None ->
-            block_start := Some cross;
-            target := float_of_int every
-          | Some start ->
-            let rate = float_of_int every /. Float.max (cross -. start) 1e-9 in
-            acc := (cross, rate) :: !acc;
-            block_start := Some cross;
-            target := !target +. float_of_int every);
-          if !target > cum then continue := false
-        done;
-        prev_t := time;
-        prev_cum := cum)
-      pts;
-    List.rev !acc
-  end
-
-let mean_window_throughput t ~every =
-  if every <= 0 then invalid_arg "Fluid.mean_window_throughput: every <= 0";
-  match (t.f_cfg.mode, t.f_tracer, t.f_core) with
-  | Per_request, Some h, _ -> Httperf.mean_window_throughput h ~every
-  | Fluid, _, Some c -> core_mean_window c ~every
-  | Hybrid, Some h, Some c -> hybrid_mean_window h c ~every
-  | _ -> []
 
 let tracer_longest_gap h =
   let times = Httperf.completion_times h in
@@ -515,40 +376,6 @@ let longest_stall_s t =
       core_longest_stall c ~now:(Simkit.Engine.now t.f_engine)
     else tracer_longest_gap h
   | _ -> 0.0
-
-let fluid_sojourn c =
-  let cap = c.c_server.srv_capacity_rps () in
-  if c.c_rate <= 0.0 || cap <= 0.0 then None
-  else begin
-    let s = c.c_server.srv_service_time_s () in
-    let rho = Float.min 0.999 (c.c_rate /. cap) in
-    Some (s /. (1.0 -. rho))
-  end
-
-let latency_mean_s t =
-  let from_hist h = Obs.Metric.Histogram.mean (Httperf.latency_histogram h) in
-  match (t.f_tracer, t.f_core) with
-  | Some h, _ when Obs.Metric.Histogram.count (Httperf.latency_histogram h) > 0
-    ->
-    from_hist h
-  | _, Some c -> fluid_sojourn c
-  | Some h, None -> from_hist h
-  | None, None -> None
-
-let latency_quantile_s t ~p =
-  if p <= 0.0 || p >= 1.0 then
-    invalid_arg "Fluid.latency_quantile_s: p outside (0, 1)";
-  let from_hist h =
-    Obs.Metric.Histogram.quantile (Httperf.latency_histogram h) ~p
-  in
-  match (t.f_tracer, t.f_core) with
-  | Some h, _ when Obs.Metric.Histogram.count (Httperf.latency_histogram h) > 0
-    ->
-    from_hist h
-  | _, Some c ->
-    Option.map (fun mean -> mean *. -.Float.log (1.0 -. p)) (fluid_sojourn c)
-  | Some h, None -> from_hist h
-  | None, None -> None
 
 let observe ?(prefix = "netsim.traffic") reg t =
   let p = prefix ^ "." ^ t.f_name in
@@ -633,8 +460,4 @@ module Open = struct
 
   let offered t = sum_rounded t.o_offered
   let lost t = sum_rounded t.o_lost
-
-  let loss_ratio t =
-    let o = offered t in
-    if o = 0 then 0.0 else float_of_int (lost t) /. float_of_int o
 end

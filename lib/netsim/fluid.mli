@@ -1,12 +1,12 @@
 (** Hybrid fluid-flow traffic model: O(flows) client aggregation.
 
     A client population is a piecewise-constant arrival-rate process and
-    the server is a processor-sharing fluid queue: throughput, latency
-    (via an M/G/1-PS approximation) and backlog evolve at rate-change
-    {e epochs} and server state transitions, not per request. Driving a
-    server with a million closed-loop clients costs O(epochs) engine
-    events instead of O(requests) — the aggregation move that unlocks
-    fleet scenarios with 1M+ modeled clients per host (doc/traffic.md).
+    the server is a processor-sharing fluid queue: throughput and
+    backlog evolve at rate-change {e epochs} and server state
+    transitions, not per request. Driving a server with a million
+    closed-loop clients costs O(epochs) engine events instead of
+    O(requests) — the aggregation move that unlocks fleet scenarios with
+    1M+ modeled clients per host (doc/traffic.md).
 
     Three modes behind one interface:
 
@@ -77,10 +77,6 @@ val default_config : config
 (** [Per_request], 10 clients (the paper's 10 httperf processes),
     4 tracers, zero think time, 0.5 s backoff, 0.1 s epochs. *)
 
-val config_label : config -> string
-(** Compact ["mode=hybrid clients=1000000 tracers=8"]-style tag for
-    experiment params and cache keys. *)
-
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on a non-positive [clients]/[epoch_s]/
     [retry_backoff_s], a negative [think_time_s], a NaN float, or a
@@ -106,9 +102,6 @@ val start : t -> unit
 val stop : t -> unit
 (** Stops the epoch tick (cancelling the pending event) and the tracer
     generator; in-flight tracer requests complete. *)
-
-val mode : t -> mode
-val clients : t -> int
 
 val completed : t -> int
 (** Population-scale successful requests: raw count in {!Per_request},
@@ -143,36 +136,12 @@ val throughput_between : t -> lo:float -> hi:float -> float
     completion timestamps; {!Hybrid} is their sum. Raises
     [Invalid_argument] when [hi <= lo]. *)
 
-val mean_window_throughput : t -> every:int -> (float * float) list
-(** Figure 7 reporting: average throughput of each consecutive block
-    of [every] completed {e population-scale} requests, as (block end
-    time, requests/s). {!Fluid} synthesizes block boundaries where the
-    cumulative curve crosses multiples of [every]; {!Hybrid} walks the
-    combined curve (tracer steps + fluid bulk), degrading to the
-    per-request computation verbatim when the bulk is empty
-    ([tracers = clients]). Empty generator yields [[]]; a trailing
-    partial block is dropped (see
-    {!Httperf.mean_window_throughput}). *)
-
 val longest_stall_s : t -> float
 (** Longest outage observed so far — the Figure 7 outage width.
     Per-request: the largest gap between consecutive completions (0
     with fewer than two completions). Fluid (and {!Hybrid} with a live
     bulk): the longest contiguous run of server-down epochs, including
     a still-open one. *)
-
-val latency_mean_s : t -> float option
-(** Mean response time. Per-request/hybrid: the (tracer) latency
-    histogram. Fluid: M/G/1-PS [S / (1 - rho)] at the current
-    utilisation; [None] while idle or down. *)
-
-val latency_quantile_s : t -> p:float -> float option
-(** [p]-quantile response time. Fluid mode uses the exponential
-    sojourn approximation [T * ln (1 / (1 - p))]. *)
-
-val tracer : t -> Httperf.t option
-(** The underlying per-request generator ({!Per_request} and
-    {!Hybrid}); [None] in {!Fluid}. *)
 
 val observe : ?prefix:string -> Obs.Registry.t -> t -> unit
 (** Attach the four traffic gauges under ["<prefix>.<name>."] (default
@@ -217,7 +186,4 @@ module Open : sig
 
   val lost : t -> int
   (** Requests lost so far, summed like {!offered}. *)
-
-  val loss_ratio : t -> float
-  (** [lost / offered]; 0 before anything was offered. *)
 end

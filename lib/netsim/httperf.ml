@@ -7,7 +7,7 @@ type t = {
   mutable running : bool;
   mutable ok : int;
   mutable errors : int;
-  events : Simkit.Series.Counter.t;
+  events : Obs.Metric.Counter.t;
   latency : Obs.Metric.Histogram.t;
   completion_times : Simkit.Fvec.t; (* insertion order; O(1) append *)
 }
@@ -24,7 +24,7 @@ let create engine ?(name = "httperf") ?(connections = 10)
     running = false;
     ok = 0;
     errors = 0;
-    events = Simkit.Series.Counter.create ~name ();
+    events = Obs.Metric.Counter.create ();
     latency = Obs.Metric.Histogram.create ();
     completion_times = Simkit.Fvec.create ();
   }
@@ -36,7 +36,7 @@ let rec connection_loop t =
         let now = Simkit.Engine.now t.engine in
         if success then begin
           t.ok <- t.ok + 1;
-          Simkit.Series.Counter.record t.events ~time:now;
+          Obs.Metric.Counter.record t.events ~time:now;
           (* Latency of the successful attempt only: a retried request
              restarts the clock after its backoff. *)
           Obs.Metric.Histogram.observe t.latency (now -. issued_at);
@@ -64,7 +64,6 @@ let stop t = t.running <- false
 let completed t = t.ok
 let failed t = t.errors
 let counter t = t.events
-let latency_histogram t = t.latency
 
 let observe ?(prefix = "netsim.httperf") reg t =
   let p = prefix ^ "." ^ t.gen_name in
@@ -100,9 +99,9 @@ let upper_bound times n x =
   !lo
 
 let throughput_between t ~lo ~hi =
-  (* Same contract as [Simkit.Series.Counter.rate_between]: closed
-     interval [lo <= time <= hi], [Invalid_argument] on an empty one. *)
-  if hi <= lo then invalid_arg "Counter.rate_between: empty interval";
+  (* Closed interval [lo <= time <= hi], [Invalid_argument] on an
+     empty one. *)
+  if hi <= lo then invalid_arg "Httperf.throughput_between: empty interval";
   let times = t.completion_times in
   let n = Simkit.Fvec.length times in
   let count = upper_bound times n hi - lower_bound times n lo in

@@ -26,18 +26,14 @@ val stop : t -> unit
 val completed : t -> int
 val failed : t -> int
 
-val counter : t -> Simkit.Series.Counter.t
-(** Completion events; use [rate_series] for the throughput timeline. *)
-
-val latency_histogram : t -> Obs.Metric.Histogram.t
-(** Response-time distribution of successful requests (simulated
-    seconds from issue to completion; a retried request restarts the
-    clock after its backoff). Percentiles via
-    [Obs.Metric.Histogram.p95] etc. *)
+val counter : t -> Obs.Metric.Counter.t
+(** Completion events, with their last-window rate. *)
 
 val observe : ?prefix:string -> Obs.Registry.t -> t -> unit
-(** Attach the latency histogram and completed/failed gauges under
-    ["<prefix>.<generator name>."] (default prefix
+(** Attach the latency histogram (response times of successful
+    requests, in simulated seconds from issue to completion; a retried
+    request restarts the clock after its backoff) and completed/failed
+    gauges under ["<prefix>.<generator name>."] (default prefix
     ["netsim.httperf"]). *)
 
 val completion_times : t -> Simkit.Fvec.t
@@ -52,8 +48,7 @@ val throughput_between : t -> lo:float -> hi:float -> float
     timestamps for both endpoints, so each query is O(log
     completions) — repeated windowed queries (bench fig8, fleet
     sampling) no longer pay a full pass. Raises [Invalid_argument]
-    when [hi <= lo] (same contract as
-    [Simkit.Series.Counter.rate_between]). *)
+    when [hi <= lo]. *)
 
 val mean_window_throughput :
   t -> every:int -> (float * float) list

@@ -12,7 +12,6 @@ type t
 
 val create :
   Simkit.Engine.t ->
-  ?name:string ->
   rate_per_s:float ->
   rng:Simkit.Rng.t ->
   request:((bool -> unit) -> unit) ->
@@ -22,18 +21,11 @@ val create :
     Raises [Invalid_argument] unless [rate_per_s > 0] (a NaN rate
     included). *)
 
-val name : t -> string
 val start : t -> unit
 val stop : t -> unit
 
 val offered : t -> int
 (** Requests issued so far. *)
 
-val succeeded : t -> int
 val lost : t -> int
-
-val loss_ratio : t -> float
-(** lost / offered; 0 when nothing was offered. *)
-
-val lost_between : t -> lo:float -> hi:float -> int
-(** Failures whose *issue* time fell in the window. *)
+(** Requests whose attempt failed. *)

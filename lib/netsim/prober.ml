@@ -50,11 +50,7 @@ let outages t = List.rev t.completed
 
 let downtimes t = List.map (fun (d, u) -> u -. d) (outages t)
 
-let total_downtime t = List.fold_left ( +. ) 0.0 (downtimes t)
-
 let longest_outage t =
   match downtimes t with
   | [] -> None
   | x :: rest -> Some (List.fold_left Float.max x rest)
-
-let currently_down_since t = t.down_since

@@ -27,8 +27,4 @@ val outages : t -> (float * float) list
 val downtimes : t -> float list
 (** Durations of completed outages. *)
 
-val total_downtime : t -> float
-
 val longest_outage : t -> float option
-
-val currently_down_since : t -> float option

@@ -30,12 +30,3 @@ let survives ?(config = default) ~outage_s ?client_timeout_s () =
     | None -> true
   in
   stack_alive && client_alive
-
-let first_retransmit_after ?(config = default) ~outage_s () =
-  if not (survives ~config ~outage_s ()) then None
-  else
-    match
-      List.find_opt (fun off -> off >= outage_s) (retransmit_offsets config)
-    with
-    | Some off -> Some (off -. outage_s)
-    | None -> Some 0.0

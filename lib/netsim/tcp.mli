@@ -28,7 +28,3 @@ val survives : ?config:config -> outage_s:float -> ?client_timeout_s:float -> un
     length? It dies if the stack gives up first, or if an
     application-level [client_timeout_s] (e.g. an ssh client's
     ServerAliveInterval budget) elapses during the outage. *)
-
-val first_retransmit_after : ?config:config -> outage_s:float -> unit -> float option
-(** Delay after recovery until the next retransmission lands (i.e. the
-    extra latency the user observes), or [None] when the session died. *)

@@ -1,5 +1,4 @@
 module Jsonx = Simkit.Jsonx
-module Stat = Simkit.Stat
 
 type format = Json | Csv | Prom
 
@@ -7,10 +6,6 @@ let format_enum =
   Simkit.Enum.make ~what:"metrics format"
     ~aliases:[ ("prometheus", Prom) ]
     [ ("json", Json); ("csv", Csv); ("prom", Prom) ]
-
-let format_of_string s = Simkit.Enum.of_string format_enum s
-
-let extension = function Json -> ".json" | Csv -> ".csv" | Prom -> ".prom"
 
 let opt_float = function None -> Jsonx.Null | Some v -> Jsonx.Float v
 
@@ -50,92 +45,19 @@ let metric_json ~now = function
     Jsonx.Obj [ ("type", Str "gauge"); ("value", Float (Metric.gauge_value g)) ]
   | Registry.Histogram h -> histogram_json h
 
-(* Per-metric descriptive statistics over the sampled timeline, via the
-   total Stat variants: a metric that never got a sample renders as
-   nulls rather than raising on the empty list. *)
-let timeline_summary_json snaps =
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Timeline.snapshot) ->
-      List.iter
-        (fun (name, v) ->
-          let prev = Option.value (Hashtbl.find_opt by_name name) ~default:[] in
-          Hashtbl.replace by_name name (v :: prev))
-        s.values)
-    snaps;
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) by_name []
-    |> List.sort String.compare
-  in
-  Jsonx.Obj
-    (List.map
-       (fun name ->
-         let samples = List.rev (Hashtbl.find by_name name) in
-         let stats =
-           match Stat.summarize_opt samples with
-           | None ->
-             [
-               ("samples", Jsonx.Int 0);
-               ("mean", Jsonx.Null);
-               ("min", Jsonx.Null);
-               ("max", Jsonx.Null);
-               ("p95", Jsonx.Null);
-             ]
-           | Some s ->
-             [
-               ("samples", Jsonx.Int s.count);
-               ("mean", Jsonx.Float s.mean);
-               ("min", Jsonx.Float s.min);
-               ("max", Jsonx.Float s.max);
-               ("p95", opt_float (Stat.percentile_opt samples ~p:95.0));
-             ]
-         in
-         (name, Jsonx.Obj stats))
-       names)
-
-let timeline_json tl =
-  let snaps = Timeline.snapshots tl in
-  Jsonx.Obj
-    [
-      ("every_s", Float (Timeline.every_s tl));
-      ( "snapshots",
-        Arr
-          (List.map
-             (fun (s : Timeline.snapshot) ->
-               Jsonx.Obj
-                 [
-                   ("t", Float s.at);
-                   ( "values",
-                     Obj (List.map (fun (n, v) -> (n, Jsonx.Float v)) s.values)
-                   );
-                 ])
-             snaps) );
-      ("summary", timeline_summary_json snaps);
-    ]
-
-let json_tree ?timeline ~now registry =
+let to_json ~now registry =
   let metrics =
     Jsonx.Obj
       (List.map
          (fun (name, m) -> (name, metric_json ~now m))
          (Registry.metrics registry))
   in
-  let fields =
-    [ ("schema", Jsonx.Str "roothammer-obs/1"); ("now", Jsonx.Float now);
-      ("metrics", metrics) ]
-  in
-  let fields =
-    match timeline with
-    | None -> fields
-    | Some tl -> fields @ [ ("timeline", timeline_json tl) ]
-  in
-  Jsonx.Obj fields
+  Jsonx.to_string
+    (Jsonx.Obj
+       [ ("schema", Jsonx.Str "roothammer-obs/1"); ("now", Jsonx.Float now);
+         ("metrics", metrics) ])
 
-let to_json ?timeline ~now registry =
-  Jsonx.to_string (json_tree ?timeline ~now registry)
-
-(* CSV is the flat instrument view (one row per field); the timeline
-   only travels in the JSON export. *)
+(* CSV is the flat instrument view: one row per field. *)
 let to_csv ~now registry =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "metric,type,field,value\n";
@@ -218,8 +140,8 @@ let to_prometheus ~now registry =
     (Registry.metrics registry);
   Buffer.contents buf
 
-let render fmt ?timeline ~now registry =
+let render fmt ~now registry =
   match fmt with
-  | Json -> to_json ?timeline ~now registry
+  | Json -> to_json ~now registry
   | Csv -> to_csv ~now registry
   | Prom -> to_prometheus ~now registry

@@ -1,35 +1,26 @@
-(** Exporters: render a registry (and optionally a timeline) to a
-    string. Nothing here prints — callers decide where bytes go.
+(** Exporters: render a registry to a string. Nothing here prints —
+    callers decide where bytes go.
 
     Output is deterministic: metrics are sorted by name and floats use
     the fixed {!Simkit.Jsonx} representation, so a seeded run exports
     byte-identically every time. Empty histograms render their
-    statistics as JSON nulls / empty CSV cells (via the total
-    [Stat.*_opt] variants) instead of raising. *)
+    statistics as JSON nulls / empty CSV cells instead of raising. *)
 
 type format = Json | Csv | Prom
 
 val format_enum : format Simkit.Enum.t
 (** ["json"], ["csv"], ["prom"] (alias ["prometheus"]). *)
 
-val format_of_string : string -> (format, [> `Msg of string ]) result
-(** {!Simkit.Enum.of_string} on {!format_enum}; the [`Msg] error is
-    CLI-ready, matching every other enum parser in the tree. *)
-
-val extension : format -> string
-
-val to_json : ?timeline:Timeline.t -> now:float -> Registry.t -> string
-(** Schema ["roothammer-obs/1"]: a [metrics] object keyed by name plus,
-    when a timeline is given, its snapshots and per-metric summary
-    statistics. [now] is the simulation time of the export (counter
-    rates are relative to it). *)
+val to_json : now:float -> Registry.t -> string
+(** Schema ["roothammer-obs/1"]: a [metrics] object keyed by name.
+    [now] is the simulation time of the export (counter rates are
+    relative to it). *)
 
 val to_csv : now:float -> Registry.t -> string
-(** Long-form [metric,type,field,value] rows. The timeline is only
-    carried by the JSON export. *)
+(** Long-form [metric,type,field,value] rows. *)
 
 val to_prometheus : now:float -> Registry.t -> string
 (** Prometheus text exposition format; metric names are prefixed with
     [roothammer_] and sanitised. *)
 
-val render : format -> ?timeline:Timeline.t -> now:float -> Registry.t -> string
+val render : format -> now:float -> Registry.t -> string

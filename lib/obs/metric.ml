@@ -1,6 +1,51 @@
-(* Counters re-use Simkit.Series.Counter: its O(1) streaming total and
-   last-window rate are exactly what the snapshot timeline samples. *)
-module Counter = Simkit.Series.Counter
+module Counter = struct
+  type t = {
+    window : float;
+    mutable count : int;
+    (* Streaming per-window tally: [cur_*] is the window the latest
+       event fell into, [prev_*] the most recently closed one. Keeping
+       both makes the last-completed-window rate an O(1) read, and no
+       event is kept once it has been counted. *)
+    mutable cur_idx : int;
+    mutable cur_count : int;
+    mutable prev_idx : int;
+    mutable prev_count : int;
+  }
+
+  let create ?(window = 1.0) () =
+    if window <= 0.0 then invalid_arg "Counter.create: window <= 0";
+    {
+      window;
+      count = 0;
+      cur_idx = 0;
+      cur_count = 0;
+      prev_idx = -1;
+      prev_count = 0;
+    }
+
+  let record t ~time =
+    t.count <- t.count + 1;
+    let idx = int_of_float (time /. t.window) in
+    if idx = t.cur_idx then t.cur_count <- t.cur_count + 1
+    else begin
+      t.prev_idx <- t.cur_idx;
+      t.prev_count <- t.cur_count;
+      t.cur_idx <- idx;
+      t.cur_count <- 1
+    end
+
+  let total t = t.count
+
+  let last_window_rate t ~now =
+    let idx = int_of_float (now /. t.window) in
+    let count =
+      if idx = t.cur_idx then
+        if t.prev_idx = idx - 1 then t.prev_count else 0
+      else if t.cur_idx = idx - 1 then t.cur_count
+      else 0
+    in
+    float_of_int count /. t.window
+end
 
 module Histogram = struct
   type t = {
@@ -25,8 +70,6 @@ module Histogram = struct
       min_v = Float.infinity;
       max_v = Float.neg_infinity;
     }
-
-  let buckets_per_decade t = t.buckets_per_decade
 
   (* Bucket [i] covers [10^(i/bpd), 10^((i+1)/bpd)). The index is a
      pure function of the value, so same observations in any order
@@ -107,28 +150,6 @@ module Histogram = struct
   let p50 t = quantile t ~p:50.0
   let p95 t = quantile t ~p:95.0
   let p99 t = quantile t ~p:99.0
-
-  let merge a b =
-    if a.buckets_per_decade <> b.buckets_per_decade then
-      invalid_arg "Histogram.merge: different buckets_per_decade";
-    let m = create ~buckets_per_decade:a.buckets_per_decade () in
-    let add_from src =
-      List.iter
-        (fun (i, c) ->
-          let cur = Option.value (Hashtbl.find_opt m.counts i) ~default:0 in
-          Hashtbl.replace m.counts i (cur + c))
-        (buckets src);
-      m.zero_count <- m.zero_count + src.zero_count;
-      m.total <- m.total + src.total;
-      m.sum <- m.sum +. src.sum;
-      if src.total > 0 then begin
-        if src.min_v < m.min_v then m.min_v <- src.min_v;
-        if src.max_v > m.max_v then m.max_v <- src.max_v
-      end
-    in
-    add_from a;
-    add_from b;
-    m
 end
 
 type gauge = { mutable read : unit -> float }

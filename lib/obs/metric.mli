@@ -1,21 +1,39 @@
 (** Metric instruments: counters, gauges and deterministic histograms.
 
-    Counters are {!Simkit.Series.Counter} values verbatim — the O(1)
-    streaming total and last-window rate make them cheap to sample from
-    the snapshot timeline. Histograms use logarithmic buckets whose
+    Counters stream: an O(1) total and last-window rate, and no event
+    is kept once counted. Histograms use logarithmic buckets whose
     index is a pure function of the observed value, so the same
     observations produce byte-identical exports regardless of order. *)
 
-module Counter = Simkit.Series.Counter
+(** Event counter with a windowed rate. *)
+module Counter : sig
+  type t
+
+  val create : ?window:float -> unit -> t
+  (** [window] (default 1 s, must be positive) sizes the streaming
+      buckets behind {!last_window_rate}. *)
+
+  val record : t -> time:float -> unit
+  (** Note one event (e.g. one served request) at a timestamp.
+      Timestamps must be non-decreasing for the streaming window
+      tally to be meaningful (simulated time always is). *)
+
+  val total : t -> int
+  (** Events recorded so far. O(1). *)
+
+  val last_window_rate : t -> now:float -> float
+  (** Events per second over the last {e completed} [window]-sized
+      bucket before [now] (buckets are aligned to multiples of
+      [window]). O(1). A bucket with no events reads 0. *)
+end
 
 module Histogram : sig
   type t
 
   val create : ?buckets_per_decade:int -> unit -> t
   (** Log-bucketed histogram. [buckets_per_decade] (default 20, i.e.
-      ~12% relative bucket width) fixes the bucket geometry; merging
-      requires both sides to share it. Raises [Invalid_argument] when
-      not positive. *)
+      ~12% relative bucket width) fixes the bucket geometry. Raises
+      [Invalid_argument] when not positive. *)
 
   val observe : t -> float -> unit
   (** Record one observation. Values [<= 0] are kept in a dedicated
@@ -40,16 +58,10 @@ module Histogram : sig
   val p95 : t -> float option
   val p99 : t -> float option
 
-  val merge : t -> t -> t
-  (** Combine two histograms into a fresh one by adding bucket counts.
-      Associative and commutative; raises [Invalid_argument] on a
-      [buckets_per_decade] mismatch. *)
-
   val buckets : t -> (int * int) list
   (** Non-empty buckets as [(index, count)], sorted by index. Bucket
       [i] covers [10^(i/bpd), 10^((i+1)/bpd)). *)
 
-  val buckets_per_decade : t -> int
   val bucket_lower : t -> int -> float
   val bucket_upper : t -> int -> float
   val bucket_mid : t -> int -> float

@@ -1,6 +1,5 @@
 module Metric = Metric
 module Registry = Registry
-module Timeline = Timeline
 module Export = Export
 
 (* The ambient registry is domain-local so parallel sweep workers never
@@ -18,38 +17,13 @@ let reset_ambient () =
   set_ambient r;
   r
 
-let with_registry r f =
-  let cell = Domain.DLS.get ambient_key in
-  let saved = !cell in
-  cell := r;
-  Fun.protect ~finally:(fun () -> cell := saved) f
-
 (* --- scoped instrumentation over the ambient registry --- *)
 
 let incr ?window ~time name =
   Metric.Counter.record (Registry.counter (ambient ()) ?window name) ~time
 
-let observe ?buckets_per_decade name v =
-  Metric.Histogram.observe
-    (Registry.histogram (ambient ()) ?buckets_per_decade name)
-    v
-
 let gauge name read = Registry.gauge (ambient ()) name read
 let set_gauge name v = Registry.set_gauge (ambient ()) name v
-
-let with_counter ~time name f =
-  incr ~time name;
-  f ()
-
-let with_span trace name f =
-  let span = Simkit.Trace.begin_span trace name in
-  let engine = Simkit.Trace.engine trace in
-  let t0 = Simkit.Engine.now engine in
-  Fun.protect
-    ~finally:(fun () ->
-      Simkit.Trace.end_span trace span;
-      observe (name ^ ".span_s") (Simkit.Engine.now engine -. t0))
-    f
 
 (* --- engine self-observability --- *)
 

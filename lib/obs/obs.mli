@@ -1,5 +1,5 @@
-(** Observability plane: metric registry, snapshot timeline, exporters
-    and a scoped instrumentation API.
+(** Observability plane: metric registry, exporters and a scoped
+    instrumentation API.
 
     Layers above simkit register gauges/counters/histograms into a
     {!Registry.t}; exporters render it as JSON, CSV or Prometheus text.
@@ -12,7 +12,6 @@
 
 module Metric = Metric
 module Registry = Registry
-module Timeline = Timeline
 module Export = Export
 
 val ambient : unit -> Registry.t
@@ -24,31 +23,13 @@ val reset_ambient : unit -> Registry.t
 (** Install and return a fresh ambient registry — e.g. before a run
     whose metrics should not include earlier runs. *)
 
-val with_registry : Registry.t -> (unit -> 'a) -> 'a
-(** Run [f] with [r] as the ambient registry, restoring the previous
-    one afterwards (also on exceptions). *)
-
 (** {1 Scoped helpers (ambient registry)} *)
 
 val incr : ?window:float -> time:float -> string -> unit
 (** Bump the named ambient counter at simulation time [time]. *)
 
-val observe : ?buckets_per_decade:int -> string -> float -> unit
-(** Record a value into the named ambient histogram. *)
-
 val gauge : string -> (unit -> float) -> unit
 val set_gauge : string -> float -> unit
-
-val with_counter : time:float -> string -> (unit -> 'a) -> 'a
-(** Count an invocation, then run it. *)
-
-val with_span : Simkit.Trace.t -> string -> (unit -> 'a) -> 'a
-(** Compose tracing with metrics: opens a trace span, runs [f], closes
-    the span and records its simulated duration into the ambient
-    histogram [name ^ ".span_s"]. The span closes even if [f] raises.
-    Note the duration is simulated time elapsed {e during} [f] — for
-    direct-style work (exports, analysis steps), not for intervals that
-    end inside a later engine callback. *)
 
 (** {1 Engine self-observability} *)
 

@@ -24,7 +24,7 @@ let counter t ?window name =
   | Some (Counter c) -> c
   | Some other -> mismatch name ~want:"counter" other
   | None ->
-    let c = Metric.Counter.create ?window ~name () in
+    let c = Metric.Counter.create ?window () in
     Hashtbl.replace t.metrics name (Counter c);
     c
 
@@ -55,20 +55,3 @@ let metrics t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let cardinality t = Hashtbl.length t.metrics
-
-(* One scalar per instrument, suitable for the snapshot timeline:
-   counters expose their streaming total plus the last-window rate
-   (both O(1) reads), gauges their current value and histograms their
-   running count. *)
-let sample t ~now =
-  List.concat_map
-    (fun (name, m) ->
-      match m with
-      | Counter c ->
-        [
-          (name ^ ".total", float_of_int (Metric.Counter.total c));
-          (name ^ ".rate", Metric.Counter.last_window_rate c ~now);
-        ]
-      | Gauge g -> [ (name, Metric.gauge_value g) ]
-      | Histogram h -> [ (name ^ ".count", float_of_int (Metric.Histogram.count h)) ])
-    (metrics t)

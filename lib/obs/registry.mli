@@ -6,8 +6,8 @@
     component state and follow last-registration-wins, so a component
     rebuilt by a reboot simply re-registers its read-outs.
 
-    Iteration is always sorted by metric name — exports and timeline
-    snapshots are deterministic regardless of registration order. *)
+    Iteration is always sorted by metric name, so exports are
+    deterministic regardless of registration order. *)
 
 type metric =
   | Counter of Metric.Counter.t
@@ -39,8 +39,3 @@ val metrics : t -> (string * metric) list
 (** All metrics sorted by name. *)
 
 val cardinality : t -> int
-
-val sample : t -> now:float -> (string * float) list
-(** One scalar per instrument for timeline snapshots: counter totals
-    and last-window rates, gauge values, histogram counts. Sorted by
-    name; [now] is simulation time (for counter rates). *)

@@ -387,7 +387,7 @@ let timed_file_reads scenario vm k =
 let fig8_file ~strategy () =
   let scenario =
     Scenario.create
-      Scenario.Config.(default |> with_vms 1 ~mem_bytes:(Simkit.Units.gib 11))
+      { Scenario.Config.default with vm_mem_bytes = Simkit.Units.gib 11 }
   in
   let engine = Scenario.engine scenario in
   boot_testbed scenario;
@@ -446,10 +446,11 @@ let fig8_web ~strategy () =
   in
   let scenario =
     Scenario.create
-      Scenario.Config.(
-        default
-        |> with_vms 1 ~mem_bytes:(Simkit.Units.gib 11)
-        |> with_workload workload)
+      {
+        Scenario.Config.default with
+        vm_mem_bytes = Simkit.Units.gib 11;
+        workload;
+      }
   in
   let engine = Scenario.engine scenario in
   boot_testbed scenario;
@@ -1469,8 +1470,6 @@ let run ?(params = Spec.default_params) id =
   Result.merge
     (List.map (fun (_, cell) -> cell ()) ((Spec.find_exn id).Spec.cells params))
 
-let calibration_hash c = Digest.to_hex (Digest.string (Marshal.to_string c []))
-
 (* Each requested experiment's cells as runner tasks, in cell order. *)
 let tasks_by_id ~params ids =
   List.iter
@@ -1478,10 +1477,6 @@ let tasks_by_id ~params ids =
       if List.length (List.filter (String.equal id) ids) > 1 then
         invalid_arg (Printf.sprintf "Experiment.sweep: %S requested twice" id))
     ids;
-  (* Registered runs execute under [Calibration.default]; hashing the
-     value (not the name) makes the cache key track any recalibration
-     of the simulated testbed. *)
-  let calibration = calibration_hash Calibration.default in
   let params_key = Spec.params_key params in
   List.map
     (fun id ->
@@ -1493,7 +1488,7 @@ let tasks_by_id ~params ids =
               cache_key =
                 Some
                   (Runner.Cache.key ~id:key ~params:params_key
-                     ~seed:params.Spec.seed ~calibration);
+                     ~seed:params.Spec.seed);
               run;
             })
           ((Spec.find_exn id).Spec.cells params) ))

@@ -310,15 +310,10 @@ val run : ?params:Spec.params -> string -> Result.t
     them. Raises [Invalid_argument] on an unknown id and
     [Simkit.Fault.Error] if a cell faults. *)
 
-val calibration_hash : Calibration.t -> string
-(** Digest of a calibration's timing constants — part of every cache
-    key, so recalibrating the simulated testbed invalidates cached
-    results. *)
-
 val sweep_tasks :
   ?params:Spec.params -> string list -> Result.t Runner.Sweep.task list
 (** Expand experiment ids into their cells as runner tasks, with cache
-    keys derived from (cell key, params, seed, calibration hash).
+    keys derived from (cell key, params, seed) by {!Runner.Cache.key}.
     Raises [Invalid_argument] on an unknown or repeated id. *)
 
 val sweep :

@@ -66,6 +66,3 @@ let run_cell ?(seed = 42) ~strategy ~site () =
     downtime_s;
     extra_downtime_s = downtime_s -. baseline_downtime_s;
   }
-
-let run ?(seed = 42) ?(cells = grid) () =
-  List.map (fun (strategy, site) -> run_cell ~seed ~strategy ~site ()) cells

@@ -36,7 +36,3 @@ val smoke_grid : (Strategy.t * string) list
 val run_cell : ?seed:int -> strategy:Strategy.t -> site:string -> unit -> cell
 (** Run one cell (baseline + faulted run). Raises [Simkit.Fault.Error]
     [(Invariant _)] on an unknown site. *)
-
-val run :
-  ?seed:int -> ?cells:(Strategy.t * string) list -> unit -> cell list
-(** [run ()] executes [grid] (or [cells]) cell by cell. *)

@@ -30,7 +30,7 @@ module Config = struct
     {
       default with
       hosts = 4;
-      host = Scenario.Config.(default |> with_vms 3);
+      host = { Scenario.Config.default with vm_count = 3 };
       wave_width = 1;
       slo = 0.0;
       gap_s = 20.0;
@@ -72,9 +72,7 @@ type t = {
   mutable spare_up : bool;
 }
 
-let config t = t.cfg
 let par t = t.par
-let spare t = t.fleet_spare
 
 let host_healthy c =
   Scenario.vms c.node <> []
@@ -340,7 +338,6 @@ let run t ~strategy =
         (fun c ->
           Netsim.Poisson.create
             (Scenario.engine c.node)
-            ~name:(Printf.sprintf "fleet-load-%d" (c.idx + 1))
             ~rate_per_s:(host_rate *. tracer_fraction)
             ~rng:
               (Simkit.Rng.create

@@ -101,13 +101,10 @@ val create : Config.t -> t
     [load_rate_per_s] that is not positive, or on a [host.traffic]
     that {!Netsim.Fluid.validate_config} rejects. *)
 
-val config : t -> Config.t
-
 val par : t -> Simkit.Par_engine.t
 (** The partitioned engine; [Par_engine.shard] exposes the per-shard
     engines (shard 0 doubles as the control/spare shard). *)
 
-val spare : t -> Scenario.t
 val healthy_hosts : t -> int
 
 val start : t -> unit

@@ -62,15 +62,6 @@ let vmm_rejuvenation_count events =
   List.length
     (List.filter (function Vmm_rejuvenation _ -> true | _ -> false) events)
 
-let total_downtime ~events ~os_downtime_s ~vmm_downtime_s
-    ~overlapping_os_absorbed =
-  ignore overlapping_os_absorbed;
-  List.fold_left
-    (fun acc -> function
-      | Os_rejuvenation _ -> acc +. os_downtime_s
-      | Vmm_rejuvenation _ -> acc +. vmm_downtime_s)
-    0.0 events
-
 module Load = struct
   type profile = (float * float) list
 

@@ -29,16 +29,6 @@ val schedule :
 val os_rejuvenation_count : event list -> int
 val vmm_rejuvenation_count : event list -> int
 
-val total_downtime :
-  events:event list ->
-  os_downtime_s:float ->
-  vmm_downtime_s:float ->
-  overlapping_os_absorbed:bool ->
-  float
-(** Sum the downtime of a schedule. With [overlapping_os_absorbed]
-    (cold), OS rejuvenations that coincide with a VMM rejuvenation are
-    already part of the VMM downtime and are not double-counted. *)
-
 (** Load-aware scheduling: rejuvenation costs work proportional to the
     load it interrupts, so pick the quietest window (the "time and load
     based" policies of Garg et al. that the paper builds on). *)

@@ -5,7 +5,6 @@ type policy = {
 }
 
 let default = { max_retries = 1; fallback = true; abandon_failed_domains = true }
-let fail_fast = { max_retries = 0; fallback = false; abandon_failed_domains = false }
 
 type outcome = {
   requested : Strategy.t;
@@ -15,16 +14,6 @@ type outcome = {
   abandoned : string list;
   fatal : Simkit.Fault.t option;
 }
-
-let clean strategy =
-  {
-    requested = strategy;
-    completed = strategy;
-    faults = [];
-    retries = 0;
-    abandoned = [];
-    fatal = None;
-  }
 
 let recovered o = o.fatal = None
 

@@ -24,10 +24,6 @@ val default : policy
 (** [{ max_retries = 1; fallback = true; abandon_failed_domains = true }] —
     keep the consolidation server up at all costs. *)
 
-val fail_fast : policy
-(** [{ max_retries = 0; fallback = false; abandon_failed_domains = false }] —
-    first fault is fatal; the pre-refactor behaviour, minus the abort. *)
-
 type outcome = {
   requested : Strategy.t;  (** The strategy the caller asked for. *)
   completed : Strategy.t;
@@ -44,9 +40,6 @@ type outcome = {
       (** [Some f] when the policy could not recover and the scenario
           was left without a completed reboot. *)
 }
-
-val clean : Strategy.t -> outcome
-(** The all-went-well outcome for a given strategy. *)
 
 val recovered : outcome -> bool
 (** [fatal = None]: the reboot completed, possibly degraded. *)

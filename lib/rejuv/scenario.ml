@@ -34,8 +34,6 @@ type vm = {
 }
 
 let vm_name v = v.vname
-let vm_mem_bytes v = v.vmem
-let vm_workload v = v.vworkload
 let vm_is_driver v = v.vdriver
 let vm_kernel v = v.vkernel
 let vm_domain v = v.vdomain
@@ -175,11 +173,6 @@ let observe reg t =
           0.0 t.vm_list)
   end
 
-let attach_timeline ?(registry : Obs.Registry.t option) ?(every_s = 1.0) ?until
-    t =
-  let reg = match registry with Some r -> r | None -> Obs.ambient () in
-  Obs.Timeline.attach reg t.eng ~every_s ?until ()
-
 module Config = struct
   type scenario_workload = workload
 
@@ -211,25 +204,6 @@ module Config = struct
       memdyn = Mem.Memdyn.off;
       traffic = Netsim.Fluid.default_config;
     }
-
-  let with_vms ?mem_bytes vm_count t =
-    {
-      t with
-      vm_count;
-      vm_mem_bytes = Option.value mem_bytes ~default:t.vm_mem_bytes;
-    }
-
-  let with_workload workload t = { t with workload }
-  let with_seed seed t = { t with seed }
-  let with_calibration calibration t = { t with calibration }
-  let with_drivers driver_vm_count t = { t with driver_vm_count }
-  let with_prefix name_prefix t = { t with name_prefix }
-  let on_engine engine t = { t with engine = Some engine }
-  let with_memdyn memdyn t = { t with memdyn }
-  let with_traffic traffic t = { t with traffic }
-
-  let with_traffic_mode mode t =
-    { t with traffic = { t.traffic with Netsim.Fluid.mode } }
 end
 
 let create (cfg : Config.t) =

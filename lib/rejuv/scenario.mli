@@ -25,8 +25,6 @@ val workload_of_string : string -> (workload, [> `Msg of string ]) result
 type vm
 
 val vm_name : vm -> string
-val vm_mem_bytes : vm -> int
-val vm_workload : vm -> workload
 
 (** [vm_is_driver vm]: driver domains run device drivers and cannot be
     suspended; a warm-VM reboot shuts them down and reboots them
@@ -43,13 +41,11 @@ val vm_is_up : vm -> bool
 type t
 
 (** Everything {!create} needs, as one overridable record. Start from
-    {!Config.default} and override fields — record update syntax
-    ([{ Config.default with vm_count = 3 }]) or the [with_*]
-    combinators, which pipeline:
+    {!Config.default} and override fields with record update syntax:
 
     {[
-      Scenario.Config.(default |> with_vms 3 |> with_workload Jboss)
-      |> Scenario.create
+      Scenario.create
+        { Scenario.Config.default with vm_count = 3; workload = Jboss }
     ]}
 
     This replaces the old seven-optional-argument [create]; every knob
@@ -88,19 +84,6 @@ module Config : sig
   }
 
   val default : t
-
-  val with_vms : ?mem_bytes:int -> int -> t -> t
-  val with_workload : scenario_workload -> t -> t
-  val with_seed : int -> t -> t
-  val with_calibration : Calibration.t -> t -> t
-  val with_drivers : int -> t -> t
-  val with_prefix : string -> t -> t
-  val on_engine : Simkit.Engine.t -> t -> t
-  val with_memdyn : Mem.Memdyn.t -> t -> t
-  val with_traffic : Netsim.Fluid.config -> t -> t
-
-  val with_traffic_mode : Netsim.Fluid.mode -> t -> t
-  (** Override only the mode, keeping the other traffic knobs. *)
 end
 
 val create : Config.t -> t
@@ -163,14 +146,3 @@ val attach_probers : t -> ?interval_s:float -> unit -> Netsim.Prober.t list
 val observe : Obs.Registry.t -> t -> unit
 (** Re-register this scenario's components into [reg] (e.g. a fresh
     registry created after {!create}). *)
-
-val attach_timeline :
-  ?registry:Obs.Registry.t ->
-  ?every_s:float ->
-  ?until:float ->
-  t ->
-  Obs.Timeline.t
-(** Periodic metric snapshots on this scenario's simulation clock
-    (default registry: ambient; default period 1 s). Pass [until]
-    whenever the run ends with an unbounded [Engine.run] — see
-    {!Obs.Timeline.attach}. *)

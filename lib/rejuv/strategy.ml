@@ -19,13 +19,7 @@ let enum =
 
 let id = Simkit.Enum.name enum
 let of_string = Simkit.Enum.of_string_opt enum
-let of_string_result s = Simkit.Enum.of_string enum s
-let of_string_exn = Simkit.Enum.of_string_exn enum
 
 let pp ppf t = Format.pp_print_string ppf (name t)
-
-let preserves_memory_images = function Warm | Saved -> true | Cold -> false
-
-let requires_hardware_reset = function Warm -> false | Saved | Cold -> true
 
 let restarts_services = function Cold -> true | Warm | Saved -> false

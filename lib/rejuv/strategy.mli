@@ -20,18 +20,6 @@ val enum : t Simkit.Enum.t
 
 val of_string : string -> t option
 
-val of_string_result : string -> (t, [> `Msg of string ]) result
-(** [of_string] with the uniform [Simkit.Enum] rejection message —
-    directly usable as the parser half of a [Cmdliner.Arg.conv]. *)
-
-val of_string_exn : string -> t
-(** @raise Invalid_argument on unknown names. *)
-
 val pp : Format.formatter -> t -> unit
 
-val preserves_memory_images : t -> bool
-(** Whether guest memory images (and hence page caches and running
-    processes) survive the VMM reboot. *)
-
-val requires_hardware_reset : t -> bool
 val restarts_services : t -> bool

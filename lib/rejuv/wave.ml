@@ -15,7 +15,6 @@ let strategy_enum =
     ]
 
 let strategy_id = Simkit.Enum.name strategy_enum
-let strategy_of_string s = Simkit.Enum.of_string strategy_enum s
 let pp_strategy = Simkit.Enum.pp strategy_enum
 
 type plan = { width : int; slo_floor : int; waves : int list list }

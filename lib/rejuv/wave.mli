@@ -22,7 +22,6 @@ val strategy_enum : strategy Simkit.Enum.t
     ["migrate-then-reboot"]). *)
 
 val strategy_id : strategy -> string
-val strategy_of_string : string -> (strategy, [> `Msg of string ]) result
 val pp_strategy : Format.formatter -> strategy -> unit
 
 type plan = {

@@ -18,12 +18,19 @@ let create ?dir () =
   mkdir_p dir;
   { dir }
 
-let dir t = t.dir
+(* A cached value is only as good as the code that computed it: another
+   build may compute different bytes, or marshal a different layout
+   that [Marshal] would misread. The running executable's digest names
+   the build, and covers the calibration compiled into it. Read once,
+   on the first key. *)
+let build = (* simlint: allow D011 the executable's digest never changes while it runs *)
+  lazy (Digest.to_hex (Digest.file Sys.executable_name))
 
-let key ~id ~params ~seed ~calibration =
+let key ~id ~params ~seed =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00" [ id; params; string_of_int seed; calibration ]))
+       (String.concat "\x00"
+          [ id; params; string_of_int seed; Lazy.force build ]))
 
 let path t key = Filename.concat t.dir (key ^ ".bin")
 
@@ -47,12 +54,3 @@ let store t k bytes =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc bytes);
   Sys.rename tmp final
-
-let remove t k = try Sys.remove (path t k) with Sys_error _ -> ()
-
-let clear t =
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".bin" then
-        try Sys.remove (Filename.concat t.dir f) with Sys_error _ -> ())
-    (try Sys.readdir t.dir with Sys_error _ -> [||])

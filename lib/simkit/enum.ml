@@ -20,7 +20,6 @@ let make ~what ?(aliases = []) entries =
   { what; entries; aliases }
 
 let names e = List.map fst e.entries
-let values e = List.map snd e.entries
 
 let name e v =
   match List.find_opt (fun (_, v') -> v' = v) e.entries with
@@ -42,10 +41,5 @@ let of_string e s =
 
 let of_string_opt e s =
   match of_string e s with Ok v -> Some v | Error _ -> None
-
-let of_string_exn e s =
-  match of_string e s with
-  | Ok v -> v
-  | Error (`Msg m) -> invalid_arg ("Enum.of_string_exn: " ^ m)
 
 let pp e ppf v = Format.pp_print_string ppf (name e v)

@@ -22,7 +22,6 @@ val make : what:string -> ?aliases:(string * 'a) list -> (string * 'a) list -> '
 val names : 'a t -> string list
 (** Canonical names, in declaration order. *)
 
-val values : 'a t -> 'a list
 
 val name : 'a t -> 'a -> string
 (** Canonical name of a value (by structural equality).
@@ -34,8 +33,6 @@ val of_string : 'a t -> string -> ('a, [> `Msg of string ]) result
 
 val of_string_opt : 'a t -> string -> 'a option
 
-val of_string_exn : 'a t -> string -> 'a
-(** @raise Invalid_argument on unknown names. *)
 
 val pp : 'a t -> Format.formatter -> 'a -> unit
 (** Prints the canonical name. *)

@@ -20,24 +20,6 @@ exception Error of t
 
 let fail f = raise (Error f)
 
-let id = function
-  | Disk_full -> "disk_full"
-  | Out_of_memory -> "out_of_memory"
-  | Heap_exhausted -> "heap_exhausted"
-  | Vmm_down -> "vmm_down"
-  | Bad_domain_state _ -> "bad_domain_state"
-  | Image_lost _ -> "image_lost"
-  | No_image_staged -> "no_image_staged"
-  | Suspend_failed _ -> "suspend_failed"
-  | Resume_failed _ -> "resume_failed"
-  | Reload_failed -> "reload_failed"
-  | Driver_timeout _ -> "driver_timeout"
-  | Boot_failed _ -> "boot_failed"
-  | Not_recovered _ -> "not_recovered"
-  | Stalled _ -> "stalled"
-  | Timeout _ -> "timeout"
-  | Invariant _ -> "invariant"
-
 let to_string = function
   | Disk_full -> "backing store is full"
   | Out_of_memory -> "out of machine memory"
@@ -101,9 +83,6 @@ module Plan = struct
         List.sort
           (fun (a, _) (b, _) -> String.compare a b)
           ((site, st) :: t.sites)
-
-  let disarm t ~site =
-    t.sites <- List.filter (fun (s, _) -> not (String.equal s site)) t.sites
 
   let fires t ~site =
     match List.assoc_opt site t.sites with

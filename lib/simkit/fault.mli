@@ -40,10 +40,6 @@ exception Error of t
 val fail : t -> 'a
 (** [fail f] raises {!Error}. *)
 
-val id : t -> string
-(** Stable machine-readable tag, e.g. ["resume_failed"]. Suitable for
-    CSV columns and JSON discriminators. *)
-
 val to_string : t -> string
 (** Human-readable one-liner including the payload. *)
 
@@ -77,8 +73,6 @@ module Plan : sig
       firing decisions are independent of call interleaving across
       sites. Raises {!Error} [(Invariant _)] if [site] is not one of
       {!injection_sites}. *)
-
-  val disarm : t -> site:string -> unit
 
   val fires : t -> site:string -> bool
   (** Consulted by components at the injection point. Counts the call

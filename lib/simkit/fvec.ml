@@ -18,11 +18,4 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Fvec.get: index out of bounds";
   t.data.(i)
 
-let iter t ~f =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 let to_list t = List.init t.len (fun i -> t.data.(i))
-
-let clear t = t.len <- 0

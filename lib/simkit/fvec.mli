@@ -18,11 +18,5 @@ val get : t -> int -> float
 (** [get t i] is the [i]-th value pushed (0-based). Raises
     [Invalid_argument] out of bounds. *)
 
-val iter : t -> f:(float -> unit) -> unit
-(** In insertion order. *)
-
 val to_list : t -> float list
 (** In insertion order. *)
-
-val clear : t -> unit
-(** Drop all values; capacity is retained. *)

@@ -19,7 +19,6 @@ let create ~dummy =
 
 let length t = t.size
 
-let is_empty t = t.size = 0
 
 (* [e1] sorts before [e2] when its key is smaller, with the insertion
    sequence number breaking ties so that equal-key entries stay FIFO. *)

@@ -13,7 +13,6 @@ val create : dummy:'a -> 'a t
 val length : 'a t -> int
 (** Number of entries currently in the heap. *)
 
-val is_empty : 'a t -> bool
 
 val add : 'a t -> key:float -> 'a -> unit
 (** [add t ~key v] inserts [v] with priority [key]. O(log n). *)

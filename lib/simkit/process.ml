@@ -5,9 +5,6 @@ let now k = k ()
 let delay engine duration k =
   ignore (Engine.schedule engine ~delay:duration (fun () -> k ()))
 
-let on_resource resource ~work ?weight () k =
-  ignore (Resource.submit resource ~work ?weight k)
-
 let seq tasks k =
   let rec go = function
     | [] -> k ()
@@ -25,13 +22,3 @@ let par tasks k =
       if !outstanding = 0 then k ()
     in
     List.iter (fun task -> task one_done) tasks
-
-let map_par f xs = par (List.map f xs)
-
-let wrap ~before ~after task k =
-  before ();
-  task (fun () ->
-      after ();
-      k ())
-
-let run task k = task k

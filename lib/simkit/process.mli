@@ -14,22 +14,9 @@ val now : task
 val delay : Engine.t -> float -> task
 (** Completes after a fixed simulated duration. *)
 
-val on_resource : Resource.t -> work:float -> ?weight:float -> unit -> task
-(** Completes when the given amount of contended work has been served. *)
-
 val seq : task list -> task
 (** Runs tasks one after another. *)
 
 val par : task list -> task
 (** Starts all tasks immediately; completes when every one has
     completed. An empty list completes immediately. *)
-
-val map_par : ('a -> task) -> 'a list -> task
-(** [par] over [List.map]. *)
-
-val wrap : before:(unit -> unit) -> after:(unit -> unit) -> task -> task
-(** Runs [before] when the task starts and [after] just before its
-    continuation is invoked. *)
-
-val run : task -> (unit -> unit) -> unit
-(** [run t k] is [t k]; reads better at call sites. *)

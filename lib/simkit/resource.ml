@@ -1,15 +1,7 @@
-type job_state = Active | Completed | Cancelled
-
-type job = {
-  mutable remaining : float;
-  weight : float;
-  on_done : unit -> unit;
-  mutable state : job_state;
-}
+type job = { mutable remaining : float; weight : float; on_done : unit -> unit }
 
 type t = {
   engine : Engine.t;
-  name : string;
   mutable capacity : float;
   mutable jobs : job list;
   mutable last_settle : float;
@@ -20,11 +12,10 @@ type t = {
 
 let completion_epsilon = 1e-9
 
-let create engine ~name ~capacity =
+let create engine ~capacity =
   if capacity <= 0.0 then invalid_arg "Resource.create: capacity must be > 0";
   {
     engine;
-    name;
     capacity;
     jobs = [];
     last_settle = Engine.now engine;
@@ -33,7 +24,6 @@ let create engine ~name ~capacity =
     busy = 0.0;
   }
 
-let name t = t.name
 let capacity t = t.capacity
 let active_jobs t = List.length t.jobs
 let total_work_done t = t.work_done
@@ -94,7 +84,6 @@ and on_tick t =
   in
   let finished, still_active = List.partition nearly_done t.jobs in
   t.jobs <- still_active;
-  List.iter (fun j -> j.state <- Completed) finished;
   reschedule t;
   (* Continuations run after the resource state is consistent, so they
      may freely submit new jobs. *)
@@ -102,26 +91,14 @@ and on_tick t =
 
 let submit t ~work ?(weight = 1.0) on_done =
   if weight <= 0.0 then invalid_arg "Resource.submit: weight must be > 0";
-  let job = { remaining = Float.max work 0.0; weight; on_done; state = Active } in
-  if job.remaining <= 0.0 then begin
-    job.state <- Completed;
+  let job = { remaining = Float.max work 0.0; weight; on_done } in
+  if job.remaining <= 0.0 then
     ignore (Engine.schedule t.engine ~delay:0.0 on_done)
-  end
   else begin
     settle t;
     t.jobs <- job :: t.jobs;
     reschedule t
-  end;
-  job
-
-let cancel t job =
-  match job.state with
-  | Completed | Cancelled -> ()
-  | Active ->
-    settle t;
-    job.state <- Cancelled;
-    t.jobs <- List.filter (fun j -> j != job) t.jobs;
-    reschedule t
+  end
 
 let set_capacity t capacity =
   if capacity <= 0.0 then

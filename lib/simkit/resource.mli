@@ -12,28 +12,20 @@
 
 type t
 
-type job
-(** An in-flight job. *)
-
-val create : Engine.t -> name:string -> capacity:float -> t
+val create : Engine.t -> capacity:float -> t
 (** A resource delivering [capacity] work units per simulated second.
     Raises [Invalid_argument] when capacity is not positive. *)
 
-val name : t -> string
 val capacity : t -> float
 
 val set_capacity : t -> float -> unit
 (** Change the delivered rate; in-flight jobs are re-paced from now on.
     Used e.g. to model transient NIC degradation. *)
 
-val submit : t -> work:float -> ?weight:float -> (unit -> unit) -> job
+val submit : t -> work:float -> ?weight:float -> (unit -> unit) -> unit
 (** [submit t ~work k] enqueues a job needing [work] units and calls [k]
     when it completes. [weight] defaults to 1. Zero-work jobs complete on
     the next engine step. *)
-
-val cancel : t -> job -> unit
-(** Abort an in-flight job; its continuation is never called. No-op on
-    completed jobs. *)
 
 val active_jobs : t -> int
 val total_work_done : t -> float

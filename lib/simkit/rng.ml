@@ -18,8 +18,6 @@ let split t =
   let seed = bits64 t in
   { state = seed }
 
-let copy t = { state = t.state }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Mask to the native int's non-negative range before reducing. *)
@@ -32,8 +30,6 @@ let uniform t =
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
 let float t x = uniform t *. x
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let exponential t ~mean =
   let u = uniform t in

@@ -12,9 +12,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]. *)
 
-val copy : t -> t
-(** Snapshot of the current state; the copy evolves independently. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -26,8 +23,6 @@ val uniform : t -> float
 
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
-
-val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)

@@ -43,28 +43,6 @@ let summarize xs =
   | Some s -> s
   | None -> invalid_arg "Stat.summarize: empty sample"
 
-let percentile_opt xs ~p =
-  if p < 0.0 || p > 100.0 then
-    invalid_arg "Stat.percentile: p outside [0, 100]";
-  match xs with
-  | [] -> None
-  | _ ->
-    let sorted = List.sort Float.compare xs in
-    let arr = Array.of_list sorted in
-    let n = Array.length arr in
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then Some arr.(lo)
-    else
-      let frac = rank -. float_of_int lo in
-      Some (arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo))))
-
-let percentile xs ~p =
-  match percentile_opt xs ~p with
-  | Some v -> v
-  | None -> invalid_arg "Stat.percentile: empty sample"
-
 type linear = { slope : float; intercept : float; r2 : float }
 
 let linear_fit points =
@@ -104,24 +82,3 @@ let pp_linear ?(var = "n") ppf { slope; intercept; _ } =
   if intercept >= 0.0 then
     Format.fprintf ppf "%.2f%s + %.1f" slope var intercept
   else Format.fprintf ppf "%.2f%s - %.1f" slope var (Float.abs intercept)
-
-module Online = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    let delta2 = x -. t.mean in
-    t.m2 <- t.m2 +. (delta *. delta2)
-
-  let count t = t.n
-  let mean t = t.mean
-
-  let variance t =
-    if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-  let stddev t = sqrt (variance t)
-end

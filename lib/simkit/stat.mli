@@ -22,14 +22,6 @@ val summarize_opt : float list -> summary option
 val mean : float list -> float
 val stddev : float list -> float
 
-val percentile : float list -> p:float -> float
-(** [percentile xs ~p] with [p] in [\[0, 100\]], linear interpolation
-    between closest ranks. Raises [Invalid_argument] on []. *)
-
-val percentile_opt : float list -> p:float -> float option
-(** Total variant of {!percentile}: [None] on the empty sample. Still
-    raises [Invalid_argument] when [p] is outside [\[0, 100\]]. *)
-
 type linear = { slope : float; intercept : float; r2 : float }
 (** A fitted line [y = slope * x + intercept] with its coefficient of
     determination. *)
@@ -42,15 +34,3 @@ val eval_linear : linear -> float -> float
 
 val pp_linear : ?var:string -> Format.formatter -> linear -> unit
 (** Prints e.g. ["-0.55n + 43.0"] using [var] (default ["n"]). *)
-
-(** Streaming mean/variance accumulator (Welford's algorithm). *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-end

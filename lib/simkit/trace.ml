@@ -12,8 +12,6 @@ type t = {
 
 let create engine = { engine; all_spans = []; marks = [] }
 
-let engine t = t.engine
-
 let begin_span t label =
   let s = { label; start = Engine.now t.engine; stop = None } in
   t.all_spans <- s :: t.all_spans;
@@ -37,23 +35,6 @@ let spans t =
 
 let instants t = List.rev t.marks
 
-(* duration / find_span answer point queries; walking the raw span
-   list once per query avoids rebuilding the full completed-span view
-   (and, previously, walking it a second time just to learn whether
-   the label occurred at all). *)
-
-let duration t label =
-  let total, found =
-    List.fold_left
-      (fun ((total, _) as acc) s ->
-        match s.stop with
-        | Some stop when String.equal s.label label ->
-          (total +. (stop -. s.start), true)
-        | _ -> acc)
-      (0.0, false) t.all_spans
-  in
-  if found then Some total else None
-
 let find_span t label =
   (* [all_spans] is newest-first; keep overwriting so the last match
      seen — the oldest, i.e. first in start order — wins. *)
@@ -63,10 +44,6 @@ let find_span t label =
       | Some stop when String.equal s.label label -> Some (s.start, stop)
       | _ -> acc)
     None t.all_spans
-
-let clear t =
-  t.all_spans <- [];
-  t.marks <- []
 
 let pp ppf t =
   List.iter
@@ -114,24 +91,4 @@ let to_chrome_json t =
            (json_escape label) (time *. 1e6)))
     (instants t);
   Buffer.add_string buf "]";
-  Buffer.contents buf
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "kind,label,start_s,stop_s\n";
-  List.iter
-    (fun (label, start, stop) ->
-      Buffer.add_string buf
-        (Printf.sprintf "span,%s,%.3f,%.3f\n" (csv_escape label) start stop))
-    (spans t);
-  List.iter
-    (fun (label, time) ->
-      Buffer.add_string buf
-        (Printf.sprintf "instant,%s,%.3f,%.3f\n" (csv_escape label) time time))
-    (instants t);
   Buffer.contents buf

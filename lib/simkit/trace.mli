@@ -10,9 +10,6 @@ type span
 
 val create : Engine.t -> t
 
-val engine : t -> Engine.t
-(** The engine whose clock timestamps this trace. *)
-
 val begin_span : t -> string -> span
 (** Opens a named interval starting now. *)
 
@@ -28,13 +25,8 @@ val spans : t -> (string * float * float) list
 val instants : t -> (string * float) list
 (** Point events in time order. *)
 
-val duration : t -> string -> float option
-(** Total duration of all completed spans with the given label. *)
-
 val find_span : t -> string -> (float * float) option
 (** First completed span with the given label. *)
-
-val clear : t -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Renders spans as an indented timeline, for reports. *)
@@ -43,6 +35,3 @@ val to_chrome_json : t -> string
 (** Serialize completed spans and instants in the Chrome trace-event
     format (load via chrome://tracing or https://ui.perfetto.dev).
     Simulated seconds are encoded as microseconds of trace time. *)
-
-val to_csv : t -> string
-(** ["kind,label,start_s,stop_s"] rows: spans then instants. *)

@@ -20,7 +20,6 @@ let pp_seconds ppf s =
   if Float.abs s >= 1.0 then Format.fprintf ppf "%.1f s" s
   else Format.fprintf ppf "%.0f ms" (s *. 1000.0)
 
-let minutes m = m *. 60.0
 let hours h = h *. 3600.0
 let days d = d *. 86400.0
 let weeks w = w *. 604800.0

@@ -22,7 +22,6 @@ val pp_bytes : Format.formatter -> int -> unit
 val pp_seconds : Format.formatter -> float -> unit
 (** Human-readable duration, e.g. ["42.0 s"] or ["83 ms"]. *)
 
-val minutes : float -> float
 val hours : float -> float
 val days : float -> float
 val weeks : float -> float

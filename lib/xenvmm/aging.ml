@@ -5,14 +5,6 @@ type config = {
   xenstore_leak_per_txn_bytes : int;
 }
 
-let no_aging =
-  {
-    leak_per_domain_destroy_bytes = 0;
-    leak_per_error_path_bytes = 0;
-    error_path_mean_interval_s = infinity;
-    xenstore_leak_per_txn_bytes = 0;
-  }
-
 let xen_3_0_bugs =
   {
     leak_per_domain_destroy_bytes = 64 * 1024;
@@ -26,7 +18,6 @@ type t = {
   cfg : config;
   rng : Simkit.Rng.t;
   mutable history : (float * int) list; (* newest first; current gen *)
-  mutable stopped : bool;
 }
 
 let now t = Simkit.Engine.now (Vmm.engine t.vmm)
@@ -35,20 +26,18 @@ let sample t =
   t.history <- (now t, Vmm_heap.used_bytes (Vmm.heap t.vmm)) :: t.history
 
 let rec schedule_error_path t =
-  if (not t.stopped) && t.cfg.error_path_mean_interval_s < infinity then begin
+  if t.cfg.error_path_mean_interval_s < infinity then begin
     let delay =
       Simkit.Rng.exponential t.rng ~mean:t.cfg.error_path_mean_interval_s
     in
     ignore
       (Simkit.Engine.schedule (Vmm.engine t.vmm) ~delay (fun () ->
-           if not t.stopped then begin
-             if Vmm.is_running t.vmm then begin
-               Vmm_heap.leak (Vmm.heap t.vmm)
-                 ~bytes:t.cfg.leak_per_error_path_bytes;
-               sample t
-             end;
-             schedule_error_path t
-           end))
+           if Vmm.is_running t.vmm then begin
+             Vmm_heap.leak (Vmm.heap t.vmm)
+               ~bytes:t.cfg.leak_per_error_path_bytes;
+             sample t
+           end;
+           schedule_error_path t))
   end
 
 let attach ?(config = xen_3_0_bugs) vmm =
@@ -58,7 +47,6 @@ let attach ?(config = xen_3_0_bugs) vmm =
       cfg = config;
       rng = Simkit.Rng.split (Simkit.Engine.rng (Vmm.engine vmm));
       history = [];
-      stopped = false;
     }
   in
   Vmm.set_leak_per_domain_destroy vmm
@@ -73,8 +61,6 @@ let attach ?(config = xen_3_0_bugs) vmm =
     | _ -> ());
   schedule_error_path t;
   t
-
-let config t = t.cfg
 
 let heap_history t = List.rev t.history
 
@@ -93,5 +79,3 @@ let predict_exhaustion t =
         float_of_int (Vmm_heap.capacity_bytes (Vmm.heap t.vmm))
       in
       Some ((capacity -. fit.Simkit.Stat.intercept) /. fit.Simkit.Stat.slope)
-
-let stop t = t.stopped <- true

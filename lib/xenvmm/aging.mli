@@ -19,8 +19,6 @@ type config = {
   xenstore_leak_per_txn_bytes : int;
 }
 
-val no_aging : config
-
 val xen_3_0_bugs : config
 (** Plausible magnitudes for the cited bugs: 64 KiB lost per domain
     destroy, 16 KiB per error path (mean every 10 min), 4 KiB per
@@ -32,8 +30,6 @@ val attach : ?config:config -> Vmm.t -> t
 (** Install the injection hooks on a VMM and start sampling. The
     injected state is naturally cleared by any VMM reboot (the heap is
     rebuilt) — that is what rejuvenation is. *)
-
-val config : t -> config
 
 val sample : t -> unit
 (** Record a (now, heap used bytes) point. Samples are also taken
@@ -48,6 +44,3 @@ val predict_exhaustion : t -> float option
 (** Estimated absolute time at which the VMM heap runs out, from a
     linear fit over the current generation's history. [None] while the
     trend is flat or there are too few samples. *)
-
-val stop : t -> unit
-(** Stop the periodic error-path injector. *)

@@ -123,9 +123,6 @@ let devices t = t.dom_devices
 let attach_device t d =
   if not (List.mem d t.dom_devices) then t.dom_devices <- d :: t.dom_devices
 
-let detach_device t d =
-  t.dom_devices <- List.filter (fun x -> not (String.equal x d)) t.dom_devices
-
 let detach_all_devices t =
   let had = t.dom_devices in
   t.dom_devices <- [];

@@ -79,7 +79,6 @@ val set_exec_state : t -> exec_state option -> unit
 
 val devices : t -> string list
 val attach_device : t -> string -> unit
-val detach_device : t -> string -> unit
 val detach_all_devices : t -> string list
 (** Detach everything, returning what was attached (saved into the
     execution state by the suspend path). *)

@@ -2,12 +2,11 @@ type grant_ref = int
 
 type access = Read_only | Read_write
 
-type error = [ `Bad_ref | `Wrong_domain | `Revoked | `Still_mapped ]
+type error = [ `Bad_ref | `Wrong_domain | `Still_mapped ]
 
 let error_message = function
   | `Bad_ref -> "no such grant reference"
   | `Wrong_domain -> "domain is neither owner nor grantee of this grant"
-  | `Revoked -> "grant has been revoked"
   | `Still_mapped -> "grant is still mapped"
 
 type entry = {
@@ -16,7 +15,6 @@ type entry = {
   pfn : int;
   access : access;
   mutable mapped : bool;
-  mutable revoked : bool;
 }
 
 type t = { mutable next_ref : grant_ref; table : (grant_ref, entry) Hashtbl.t }
@@ -29,7 +27,7 @@ let grant t ~owner ~grantee ~pfn ?(access = Read_write) () =
   let r = t.next_ref in
   t.next_ref <- r + 1;
   Hashtbl.replace t.table r
-    { owner; grantee; pfn; access; mapped = false; revoked = false };
+    { owner; grantee; pfn; access; mapped = false };
   r
 
 let find t r = Hashtbl.find_opt t.table r
@@ -38,33 +36,10 @@ let map t r ~by =
   match find t r with
   | None -> Error `Bad_ref
   | Some e ->
-    if e.revoked then Error `Revoked
-    else if e.grantee <> by then Error `Wrong_domain
+    if e.grantee <> by then Error `Wrong_domain
     else if e.mapped then Error `Still_mapped
     else begin
       e.mapped <- true;
-      Ok ()
-    end
-
-let unmap t r ~by =
-  match find t r with
-  | None -> Error `Bad_ref
-  | Some e ->
-    if e.grantee <> by then Error `Wrong_domain
-    else begin
-      e.mapped <- false;
-      Ok ()
-    end
-
-let revoke t r ~by =
-  match find t r with
-  | None -> Error `Bad_ref
-  | Some e ->
-    if e.owner <> by then Error `Wrong_domain
-    else if e.mapped then Error `Still_mapped
-    else begin
-      e.revoked <- true;
-      Hashtbl.remove t.table r;
       Ok ()
     end
 
@@ -106,16 +81,11 @@ let release_domain t domid =
       Hashtbl.remove t.table r)
     owned
 
-let entries t = Hashtbl.length t.table
-
 let check_invariants t =
   Hashtbl.fold (* simlint: allow D003 any violation fails the check; which one is reported is immaterial *)
-    (fun r e acc ->
+    (fun _ e acc ->
       match acc with
       | Error _ -> acc
       | Ok () ->
-        if e.revoked then
-          Error (Printf.sprintf "revoked entry %d still present" r)
-        else if e.owner = e.grantee then Error "self-grant in table"
-        else Ok ())
+        if e.owner = e.grantee then Error "self-grant in table" else Ok ())
     t.table (Ok ())

@@ -6,8 +6,6 @@
     interesting part:
 
     - only the named grantee may map a grant;
-    - a grant cannot be revoked while a mapping is active (the owner's
-      page would be yanked from under the grantee);
     - a domain's pages cannot be freed while foreign mappings exist —
       which is why a guest's suspend handler must detach devices (and
       thereby unmap grants) before the domain can be suspended or torn
@@ -21,7 +19,7 @@ type grant_ref = int
 
 type access = Read_only | Read_write
 
-type error = [ `Bad_ref | `Wrong_domain | `Revoked | `Still_mapped ]
+type error = [ `Bad_ref | `Wrong_domain | `Still_mapped ]
 
 val error_message : error -> string
 
@@ -42,11 +40,6 @@ val map : t -> grant_ref -> by:Domain.id -> (unit, error) result
 (** Grantee maps the granted page. Double-mapping the same ref is an
     error ([`Still_mapped]). *)
 
-val unmap : t -> grant_ref -> by:Domain.id -> (unit, error) result
-
-val revoke : t -> grant_ref -> by:Domain.id -> (unit, error) result
-(** Owner withdraws the grant; refused while mapped. *)
-
 val is_mapped : t -> grant_ref -> bool
 val grants_owned_by : t -> Domain.id -> grant_ref list
 val mappings_held_by : t -> Domain.id -> grant_ref list
@@ -60,5 +53,4 @@ val release_domain : t -> Domain.id -> unit
 (** Device-teardown semantics: unmap every mapping the domain holds and
     revoke (dropping) every grant it owns, unmapping those first. *)
 
-val entries : t -> int
 val check_invariants : t -> (unit, string) result

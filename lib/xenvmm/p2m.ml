@@ -6,8 +6,6 @@ type t = {
   mutable page_count : int;
 }
 
-let bytes_per_entry = 8
-
 let create () = { runs = Int_map.empty; page_count = 0 }
 
 let overlaps_existing t ~pfn_first ~count =
@@ -105,8 +103,6 @@ let lookup t ~pfn =
 let pages t = t.page_count
 
 let mapped_bytes t = t.page_count * Simkit.Units.page_bytes
-
-let table_bytes t = t.page_count * bytes_per_entry
 
 let machine_extents t =
   Int_map.fold (fun _ ext acc -> ext :: acc) t.runs [] |> List.rev

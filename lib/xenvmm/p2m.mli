@@ -34,10 +34,6 @@ val pages : t -> int
 
 val mapped_bytes : t -> int
 
-val table_bytes : t -> int
-(** Memory footprint of the table itself: 8 bytes per entry (2 MiB per
-    GiB of guest memory). *)
-
 val machine_extents : t -> Hw.Frame.extent list
 (** All machine extents backing the domain, in PFN order. This is what
     the new VMM walks after a quick reload to re-reserve the image. *)

@@ -50,8 +50,6 @@ let params_of t ~domid =
 
 let remove_domain t ~domid = Hashtbl.remove t.table domid
 
-let active_work t = List.length t.jobs
-
 let cap_rate p =
   match p.cap_percent with
   | None -> infinity

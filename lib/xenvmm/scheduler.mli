@@ -44,9 +44,6 @@ val run_work :
 val remove_domain : t -> domid:Domain.id -> unit
 (** Drop a domain's parameters (its in-flight work still completes). *)
 
-val active_work : t -> int
-(** Number of in-flight work items. *)
-
 val utilization : t -> float
 (** Fraction of total CPU-time delivered so far vs elapsed busy time
     (1.0 = fully busy whenever any work was pending). *)

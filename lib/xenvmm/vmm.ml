@@ -71,7 +71,7 @@ let create ?(timing = Timing.default) ?(heap_capacity = Vmm_heap.default_capacit
     observers = [];
     hypercalls = Hashtbl.create 16;
     vmm_lock =
-      Simkit.Resource.create hw.Hw.Host.engine ~name:"vmm-lock" ~capacity:1.0;
+      Simkit.Resource.create hw.Hw.Host.engine ~capacity:1.0;
     leak_per_destroy = 0;
     xenstore_leak_per_txn = 0;
     scrub_policy;
@@ -112,7 +112,6 @@ let pp_event ppf = function
 
 let host t = t.hw
 let engine t = t.hw.Hw.Host.engine
-let timing t = t.timing
 let heap t = t.heap
 let channels t = t.chans
 let scheduler t = t.sched
@@ -151,15 +150,6 @@ let domus t =
   Hashtbl.fold (fun _ d acc -> if Domain.is_domu d then d :: acc else acc)
     t.domains []
   |> List.sort (fun a b -> compare (Domain.id a) (Domain.id b))
-
-let find_domain t ~name =
-  (* Collect-and-sort rather than first-match-in-hash-order, so a
-     (buggy) duplicate name still resolves deterministically. *)
-  Hashtbl.fold
-    (fun _ d acc -> if String.equal (Domain.name d) name then d :: acc else acc)
-    t.domains []
-  |> List.sort (fun a b -> compare (Domain.id a) (Domain.id b))
-  |> function [] -> None | d :: _ -> Some d
 
 let memory t = t.hw.Hw.Host.memory
 let frames t = Hw.Memory.frames (memory t)
@@ -609,8 +599,7 @@ let destroy_domain t dom k =
       k ())
 
 (* Keep the memory-dynamics tracker's ballooned count in step with the
-   p2m whenever the balloon moves, whoever drove it (the guest's
-   balloon driver or the pre-suspend reclaim). *)
+   p2m whenever the balloon moves. *)
 let note_balloon_delta dom ~pages =
   match Domain.mem_tracker dom with
   | None -> ()
@@ -686,37 +675,36 @@ let freeze_domain t d k =
       else begin
       emit t (Hypercall (Hypercall.Suspend (Domain.id d)));
       (* Serialized hypercall entry ... *)
-      ignore
-        (Simkit.Resource.submit t.vmm_lock
-           ~work:t.timing.Timing.suspend_fixed_s (fun () ->
-             (* ... then the per-GiB freeze walk, overlapped across
-                domains. *)
-             Simkit.Process.delay (engine t)
-               (Timing.suspend_walk_time t.timing
-                  ~mem_bytes:(Domain.mem_bytes d))
-               (fun () ->
-                 let state_pages = exec_state_frame_count t in
-                 match Hw.Frame.alloc (frames t) ~frames:state_pages with
-                 | None ->
-                   Domain.set_state d Domain.Crashed;
-                   k ()
-                 | Some state_frames ->
-                   let devices = Domain.detach_all_devices d in
-                   Domain.set_exec_state d
-                     (Some
-                        {
-                          Domain.saved_at = Simkit.Engine.now (engine t);
-                          channels =
-                            Event_channel.snapshot_of t.chans
-                              ~domid:(Domain.id d);
-                          devices;
-                          state_bytes = t.timing.Timing.exec_state_bytes;
-                          state_frames;
-                        });
-                   Event_channel.close_all_of t.chans ~domid:(Domain.id d);
-                   Domain.set_state d Domain.Suspended;
-                   store_domain_state t d;
-                   k ())))
+      Simkit.Resource.submit t.vmm_lock
+        ~work:t.timing.Timing.suspend_fixed_s (fun () ->
+          (* ... then the per-GiB freeze walk, overlapped across
+             domains. *)
+          Simkit.Process.delay (engine t)
+            (Timing.suspend_walk_time t.timing
+               ~mem_bytes:(Domain.mem_bytes d))
+            (fun () ->
+              let state_pages = exec_state_frame_count t in
+              match Hw.Frame.alloc (frames t) ~frames:state_pages with
+              | None ->
+                Domain.set_state d Domain.Crashed;
+                k ()
+              | Some state_frames ->
+                let devices = Domain.detach_all_devices d in
+                Domain.set_exec_state d
+                  (Some
+                     {
+                       Domain.saved_at = Simkit.Engine.now (engine t);
+                       channels =
+                         Event_channel.snapshot_of t.chans
+                           ~domid:(Domain.id d);
+                       devices;
+                       state_bytes = t.timing.Timing.exec_state_bytes;
+                       state_frames;
+                     });
+                Event_channel.close_all_of t.chans ~domid:(Domain.id d);
+                Domain.set_state d Domain.Suspended;
+                store_domain_state t d;
+                k ()))
       end)
 
 let suspend_all_on_memory t k =
@@ -931,11 +919,6 @@ let saved_images t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.saved []
   |> List.sort String.compare
 
-let saved_image_bytes t ~name =
-  Option.map
-    (fun img -> Image.saved_bytes img.img_image)
-    (Hashtbl.find_opt t.saved name)
-
 (* --- introspection ------------------------------------------------------ *)
 
 let preserved_bytes t =
@@ -954,5 +937,3 @@ let preserved_bytes t =
         + exec
       else acc)
     0 (domus t)
-
-let scrub_free_estimate t = Hw.Memory.scrub_free_time (memory t)

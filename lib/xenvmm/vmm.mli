@@ -74,7 +74,6 @@ val create :
 
 val host : t -> Hw.Host.t
 val engine : t -> Simkit.Engine.t
-val timing : t -> Timing.t
 val heap : t -> Vmm_heap.t
 val channels : t -> Event_channel.t
 
@@ -100,7 +99,6 @@ val dom0 : t -> Domain.t option
 val domus : t -> Domain.t list
 (** Live domain Us (any state except destroyed), in id order. *)
 
-val find_domain : t -> name:string -> Domain.t option
 val hypercall_count : t -> string -> int
 val on_event : t -> (event -> unit) -> unit
 
@@ -178,10 +176,6 @@ val restore_domain_from_disk :
 val saved_images : t -> string list
 (** Names of domains currently saved on disk. *)
 
-val saved_image_bytes : t -> name:string -> int option
-(** On-disk size of the named saved image
-    ({!Image.saved_bytes}: resident memory + execution state). *)
-
 (** {1 VMM reboot paths} *)
 
 val xexec_load :
@@ -216,6 +210,3 @@ val hardware_reset : t -> Simkit.Process.task
 
 val preserved_bytes : t -> int
 (** Bytes currently pinned by frozen domain images + their metadata. *)
-
-val scrub_free_estimate : t -> float
-(** Time the next quick reload will spend scrubbing. *)

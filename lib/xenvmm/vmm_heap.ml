@@ -57,11 +57,6 @@ let alloc t ~tag ~bytes =
     Ok { tag; bytes; live = true }
   end
 
-let alloc_exn t ~tag ~bytes =
-  match alloc t ~tag ~bytes with
-  | Ok a -> a
-  | Error `Out_of_memory -> Simkit.Fault.fail Simkit.Fault.Heap_exhausted
-
 let free t a =
   if not a.live then invalid_arg "Vmm_heap.free: double free";
   a.live <- false;
@@ -77,8 +72,6 @@ let leak t ~bytes =
   t.leaked <- t.leaked + actual;
   t.leak_events <- t.leak_events + 1;
   note_exhaustion t
-
-let leak_events t = t.leak_events
 
 let usage_by_tag t =
   Hashtbl.fold (fun tag bytes acc -> (tag, bytes) :: acc) t.by_tag []

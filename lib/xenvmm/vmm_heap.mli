@@ -26,10 +26,6 @@ val alloc : t -> tag:string -> bytes:int -> (allocation, [ `Out_of_memory ]) res
 (** Allocate tagged heap memory; fails without side effects when the
     request exceeds free space. *)
 
-val alloc_exn : t -> tag:string -> bytes:int -> allocation
-(** Like {!alloc} but raises [Simkit.Fault.Error Heap_exhausted] on
-    failure — for callers with no result channel (tests). *)
-
 val free : t -> allocation -> unit
 (** Release an allocation. Raises [Invalid_argument] on double free. *)
 
@@ -44,9 +40,6 @@ val usage_by_tag : t -> (string * int) list
 
 val on_exhaustion : t -> (unit -> unit) -> unit
 (** Called once each time free space first reaches zero. *)
-
-val leak_events : t -> int
-(** Number of {!leak} calls — how many aging events hit this heap. *)
 
 val observe : ?prefix:string -> Obs.Registry.t -> (unit -> t) -> unit
 (** Register pull gauges (capacity/used/free/leaked bytes, leak event

@@ -1,23 +1,16 @@
 type t = {
   store : (string, string) Hashtbl.t;
-  mutable watches : (string * (string -> unit)) list;
   leak_per_transaction : int;
-  budget : int;
   mutable txn_count : int;
   mutable leaked : int;
 }
 
-let create ?(leak_per_transaction_bytes = 0) ?(memory_budget_bytes = 64 * 1024 * 1024)
-    () =
+let create ?(leak_per_transaction_bytes = 0) () =
   if leak_per_transaction_bytes < 0 then
     invalid_arg "Xenstore.create: negative leak";
-  if memory_budget_bytes <= 0 then
-    invalid_arg "Xenstore.create: non-positive budget";
   {
     store = Hashtbl.create 64;
-    watches = [];
     leak_per_transaction = leak_per_transaction_bytes;
-    budget = memory_budget_bytes;
     txn_count = 0;
     leaked = 0;
   }
@@ -26,19 +19,13 @@ let is_prefix ~prefix path =
   String.length path >= String.length prefix
   && String.sub path 0 (String.length prefix) = prefix
 
-let fire_watches t path =
-  List.iter
-    (fun (prefix, f) -> if is_prefix ~prefix path then f path)
-    t.watches
-
 let transaction t =
   t.txn_count <- t.txn_count + 1;
   t.leaked <- t.leaked + t.leak_per_transaction
 
 let write t ~path value =
   transaction t;
-  Hashtbl.replace t.store path value;
-  fire_watches t path
+  Hashtbl.replace t.store path value
 
 let read t ~path =
   transaction t;
@@ -51,8 +38,7 @@ let rm t ~path =
       (fun k _ acc -> if is_prefix ~prefix:path k then k :: acc else acc)
       t.store []
   in
-  List.iter (Hashtbl.remove t.store) doomed;
-  if doomed <> [] then fire_watches t path
+  List.iter (Hashtbl.remove t.store) doomed
 
 let directory t ~path =
   transaction t;
@@ -72,8 +58,6 @@ let directory t ~path =
     t.store []
   |> List.sort_uniq String.compare
 
-let watch t ~path f = t.watches <- (path, f) :: t.watches
-
 let transactions t = t.txn_count
 let entries t = Hashtbl.length t.store
 
@@ -84,13 +68,3 @@ let memory_bytes t =
       t.store 0
   in
   contents + t.leaked
-
-let io_slowdown t =
-  let pressure = float_of_int (memory_bytes t) /. float_of_int t.budget in
-  if pressure < 0.5 then 1.0
-  else
-    (* Slowdown ramps once the store passes half its budget; beyond the
-       budget the privileged VM is effectively thrashing. *)
-    1.0 +. (4.0 *. Float.max 0.0 (pressure -. 0.5) ** 2.0 *. 4.0)
-
-let restartable = false

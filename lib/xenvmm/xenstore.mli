@@ -4,14 +4,12 @@
     bookkeeping. The real daemon leaked memory per transaction (Xen
     changeset 8640) and is not restartable — recovering from its aging
     requires rebooting domain 0 (and hence, without warm-VM reboot, the
-    whole VMM). The model tracks per-transaction memory growth and an
-    I/O slowdown factor once memory pressure builds. *)
+    whole VMM). The model tracks per-transaction memory growth. *)
 
 type t
 
-val create : ?leak_per_transaction_bytes:int -> ?memory_budget_bytes:int -> unit -> t
-(** Defaults: no leak, 64 MiB budget (the paper notes privileged VMs get
-    modest memory). *)
+val create : ?leak_per_transaction_bytes:int -> unit -> t
+(** Default: no leak. *)
 
 val write : t -> path:string -> string -> unit
 val read : t -> path:string -> string option
@@ -21,21 +19,8 @@ val rm : t -> path:string -> unit
 val directory : t -> path:string -> string list
 (** Immediate child names under [path], sorted. *)
 
-val watch : t -> path:string -> (string -> unit) -> unit
-(** [watch t ~path f] calls [f changed_path] whenever a path with prefix
-    [path] is written or removed. *)
-
 val transactions : t -> int
 val entries : t -> int
 
 val memory_bytes : t -> int
 (** Store contents + accumulated leaks. *)
-
-val io_slowdown : t -> float
-(** >= 1; multiplier on privileged-VM I/O latency as memory pressure
-    approaches the budget ("If I/O processing in the privileged VM slows
-    down due to out of memory, the performance in the other VMs is also
-    degraded"). *)
-
-val restartable : bool
-(** [false] — restoring from xenstored leaks requires rebooting dom0. *)

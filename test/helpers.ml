@@ -20,6 +20,16 @@ let check_true msg b = Alcotest.(check bool) msg true b
 let check_false msg b = Alcotest.(check bool) msg false b
 let check_int msg a b = Alcotest.(check int) msg a b
 
+(* An aging config that leaks nothing: the baseline that aging tests
+   switch one cause on at a time against. *)
+let no_aging =
+  {
+    Xenvmm.Aging.leak_per_domain_destroy_bytes = 0;
+    leak_per_error_path_bytes = 0;
+    error_path_mean_interval_s = infinity;
+    xenstore_leak_per_txn_bytes = 0;
+  }
+
 let qtest ?(count = 200) name arbitrary law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary law)
 

@@ -40,3 +40,11 @@ let bad_transitive () =
   let d = Domain.spawn (fun () -> bump ()) in
   Domain.join d;
   Buffer.length buf
+
+let () =
+  let tbl = Hashtbl.create 8 in
+  Domain.join (Domain.spawn (fun () -> Hashtbl.replace tbl 1 1))
+
+let _ =
+  let tbl = Hashtbl.create 8 in
+  Domain.join (Domain.spawn (fun () -> Hashtbl.replace tbl 1 1))

@@ -4,3 +4,5 @@
 let step () = Lfx_mid.wrap_bad () +. 1.0
 
 let healthy () = Lfx_mid.wrap_ok () +. 1.0
+
+let () = ignore (Lfx_mid.wrap_bad () +. 1.0)

@@ -27,7 +27,7 @@ let create_destroy engine vmm =
   | _ -> Alcotest.fail "create failed"
 
 let test_no_aging_config () =
-  let engine, vmm, aging = booted ~config:Aging.no_aging () in
+  let engine, vmm, aging = booted ~config:no_aging () in
   create_destroy engine vmm;
   check_int "no leak" 0 (Aging.leaked_since_boot aging);
   check_true "no forecast" (Aging.predict_exhaustion aging = None)
@@ -47,7 +47,7 @@ let test_error_path_leaks_over_time () =
     booted
       ~config:
         {
-          Aging.no_aging with
+          no_aging with
           leak_per_error_path_bytes = 16384;
           error_path_mean_interval_s = 100.0;
         }
@@ -64,7 +64,7 @@ let test_error_path_leaks_over_time () =
 let test_xenstore_leak_wired () =
   let engine, vmm, _aging =
     booted
-      ~config:{ Aging.no_aging with xenstore_leak_per_txn_bytes = 4096 }
+      ~config:{ no_aging with xenstore_leak_per_txn_bytes = 4096 }
       ()
   in
   ignore engine;
@@ -79,7 +79,7 @@ let test_xenstore_leak_wired () =
       (Xenvmm.Xenstore.memory_bytes store - before >= 50 * 4096)
 
 let test_prediction_converges () =
-  let engine, vmm, aging = booted ~config:Aging.no_aging () in
+  let engine, vmm, aging = booted ~config:no_aging () in
   (* Deterministic 1 MiB leak every 100 s: with a 16 MiB heap minus the
      dom0 charge, exhaustion sits a bit under 1600 s of leaking. *)
   let heap = Vmm.heap vmm in
@@ -98,7 +98,7 @@ let test_prediction_converges () =
       at
 
 let test_reboot_resets_history () =
-  let engine, vmm, aging = booted ~config:Aging.no_aging () in
+  let engine, vmm, aging = booted ~config:no_aging () in
   Xenvmm.Vmm_heap.leak (Vmm.heap vmm) ~bytes:(8 * 1024 * 1024);
   Aging.sample aging;
   check_true "leaked" (Aging.leaked_since_boot aging > 0);
@@ -109,22 +109,6 @@ let test_reboot_resets_history () =
   check_true "reloaded" (!r = Some (Ok ()));
   check_int "rejuvenated" 0 (Aging.leaked_since_boot aging);
   check_true "history restarted" (List.length (Aging.heap_history aging) <= 1)
-
-let test_stop_halts_injector () =
-  let engine, _vmm, aging =
-    booted
-      ~config:
-        {
-          Aging.no_aging with
-          leak_per_error_path_bytes = 1024;
-          error_path_mean_interval_s = 10.0;
-        }
-      ()
-  in
-  Aging.stop aging;
-  let before = Aging.leaked_since_boot aging in
-  Engine.run ~until:(Engine.now engine +. 1000.0) engine;
-  check_int "no further leaks" before (Aging.leaked_since_boot aging)
 
 let suite =
   ( "aging",
@@ -139,5 +123,4 @@ let suite =
       Alcotest.test_case "prediction converges" `Quick test_prediction_converges;
       Alcotest.test_case "reboot resets history" `Quick
         test_reboot_resets_history;
-      Alcotest.test_case "stop halts injector" `Quick test_stop_halts_injector;
     ] )

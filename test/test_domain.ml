@@ -75,10 +75,8 @@ let test_devices () =
   Domain.attach_device d "vif";
   Domain.attach_device d "vbd";
   check_int "no duplicates" 2 (List.length (Domain.devices d));
-  Domain.detach_device d "vbd";
-  Alcotest.(check (list string)) "one left" [ "vif" ] (Domain.devices d);
   let had = Domain.detach_all_devices d in
-  Alcotest.(check (list string)) "returned" [ "vif" ] had;
+  Alcotest.(check (list string)) "returned" [ "vif"; "vbd" ] had;
   check_int "empty" 0 (List.length (Domain.devices d))
 
 let test_handlers_default_immediate () =

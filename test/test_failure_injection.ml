@@ -17,7 +17,7 @@ let booted_with_small_disk () =
   let host = Hw.Host.create ~config engine in
   (* Pre-fill the drive, leaving ~1.5 GiB free. *)
   let disk = host.Hw.Host.disk in
-  let fill = Hw.Disk.capacity_bytes disk - (gib 1 + mib 512) in
+  let fill = Hw.Disk.space_free_bytes disk - (gib 1 + mib 512) in
   (match Hw.Disk.allocate_space disk ~bytes:fill with
   | Ok () -> ()
   | Error `Disk_full -> Alcotest.fail "setup fill failed");

@@ -147,10 +147,10 @@ let test_service_downtime_accounting () =
   let up_at = Engine.now engine in
   ignore
     (Engine.schedule engine ~delay:10.0 (fun () ->
-         Simkit.Process.run (Service.stop svc) (fun () ->
+         Service.stop svc (fun () ->
              ignore
                (Engine.schedule engine ~delay:5.0 (fun () ->
-                    Simkit.Process.run (Service.start svc) (fun () -> ()))))));
+                    Service.start svc (fun () -> ()))))));
   Engine.run engine;
   let now = Engine.now engine in
   (* Down from up_at+11 (stop completes) until up_at+18 (start after 5 s
@@ -183,8 +183,7 @@ let test_httpd_serves_through_cache () =
   let ok = ref None in
   Guest.Httpd.handle_request httpd ~rng (fun r -> ok := Some r);
   Engine.run engine;
-  check_true "served" (!ok = Some true);
-  check_int "counted" 1 (Guest.Httpd.requests_served httpd)
+  check_true "served" (!ok = Some true)
 
 let test_httpd_refuses_when_down () =
   let engine, host, vmm = booted_vmm () in

@@ -3,7 +3,7 @@ module Heap = Simkit.Heap
 
 let test_empty () =
   let h = Heap.create ~dummy:() in
-  check_true "empty" (Heap.is_empty h);
+  check_true "empty" (Heap.length h = 0);
   check_int "length" 0 (Heap.length h);
   check_true "min None" (Heap.min h = None);
   check_true "pop None" (Heap.pop h = None)
@@ -14,7 +14,7 @@ let test_single () =
   check_int "length" 1 (Heap.length h);
   check_true "min" (Heap.min h = Some (1.5, "a"));
   check_true "pop" (Heap.pop h = Some (1.5, "a"));
-  check_true "empty after" (Heap.is_empty h)
+  check_true "empty after" (Heap.length h = 0)
 
 let test_ordering () =
   let h = Heap.create ~dummy:"" in
@@ -100,7 +100,7 @@ let test_filter_inplace_all_and_none () =
   check_int "length intact" 10 (Heap.length h);
   check_int "keep none drops all" 10
     (Heap.filter_inplace h ~keep:(fun _ -> false));
-  check_true "empty" (Heap.is_empty h)
+  check_true "empty" (Heap.length h = 0)
 
 (* Values the heap has popped or filtered out must not stay reachable
    through its array: every slot past [length] holds the sentinel. *)
@@ -125,7 +125,7 @@ let test_removed_values_released () =
     check_false (Printf.sprintf "value %d collected" i) (Weak.check tracked i)
   done;
   (* keeps [h] itself alive across the collection *)
-  check_true "empty" (Heap.is_empty h)
+  check_true "empty" (Heap.length h = 0)
 
 let prop_pop_sorted =
   qtest "pop yields sorted keys"

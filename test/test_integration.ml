@@ -209,7 +209,7 @@ let test_aging_triggered_warm_reboot () =
     scenario 2
   in
   let vmm = Scenario.vmm s in
-  let aging = Xenvmm.Aging.attach ~config:Xenvmm.Aging.no_aging vmm in
+  let aging = Xenvmm.Aging.attach ~config:no_aging vmm in
   Rejuv.Roothammer.start_and_run s;
   let engine = Scenario.engine s in
   (* Fast deterministic leak: 2 MiB every 50 s. *)

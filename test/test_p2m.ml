@@ -48,11 +48,20 @@ let test_overlap_rejected () =
   check_true "invariants" (P2m.check_invariants t = Ok ())
 
 let test_table_bytes () =
-  (* 8 bytes per page: 2 MiB of table per GiB of memory. *)
-  let t = P2m.create () in
-  let pages_per_gib = Simkit.Units.gib 1 / Simkit.Units.page_bytes in
-  P2m.add_extent t ~pfn_first:0 ~mfns:(ext 0 pages_per_gib);
-  check_int "2 MiB per GiB" (Simkit.Units.mib 2) (P2m.table_bytes t)
+  (* 8 bytes per page: the VMM backs a 1 GiB domain's table with 2 MiB
+     of machine frames. *)
+  let engine = Simkit.Engine.create () in
+  let vmm = Xenvmm.Vmm.create (Hw.Host.create engine) in
+  run_task engine (Xenvmm.Vmm.power_on vmm);
+  let created = ref None in
+  Xenvmm.Vmm.create_domain vmm ~name:"vm01" ~mem_bytes:(Simkit.Units.gib 1)
+    (fun r -> created := Some r);
+  Simkit.Engine.run engine;
+  match !created with
+  | Some (Ok d) ->
+    check_int "2 MiB per GiB" (Simkit.Units.mib 2)
+      (Frame.extents_bytes (Xenvmm.Domain.p2m_frames d))
+  | _ -> Alcotest.fail "domain creation failed"
 
 let test_remove_range_exact () =
   let t = P2m.create () in

@@ -66,15 +66,6 @@ let test_files_distinguished () =
   Cache.insert c ~file:1 ~block:0;
   check_false "same block other file" (Cache.mem c ~file:2 ~block:0)
 
-let test_invalidate_file () =
-  let c = make ~blocks:8 () in
-  for b = 0 to 2 do Cache.insert c ~file:1 ~block:b done;
-  for b = 0 to 2 do Cache.insert c ~file:2 ~block:b done;
-  Cache.invalidate_file c ~file:1;
-  check_int "file 1 gone" 0 (Cache.resident_blocks_of c ~file:1);
-  check_int "file 2 intact" 3 (Cache.resident_blocks_of c ~file:2);
-  check_true "invariants" (Cache.check_invariants c = Ok ())
-
 let test_clear_resets_counters () =
   let c = make () in
   Cache.insert c ~file:0 ~block:0;
@@ -139,7 +130,6 @@ let suite =
       Alcotest.test_case "reinsert no duplicate" `Quick
         test_reinsert_no_duplicate;
       Alcotest.test_case "files distinguished" `Quick test_files_distinguished;
-      Alcotest.test_case "invalidate file" `Quick test_invalidate_file;
       Alcotest.test_case "clear resets" `Quick test_clear_resets_counters;
       Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
       Alcotest.test_case "custom block size" `Quick test_custom_block_size;

@@ -1,7 +1,6 @@
 open Helpers
 module Engine = Simkit.Engine
 module Process = Simkit.Process
-module Resource = Simkit.Resource
 
 let test_now_is_immediate () =
   let e = Engine.create () in
@@ -58,29 +57,6 @@ let test_par_completes_once () =
   Engine.run e;
   check_int "exactly once" 1 !completions
 
-let test_map_par () =
-  let e = Engine.create () in
-  let task = Process.map_par (fun d -> Process.delay e d) [ 2.0; 4.0 ] in
-  check_float "max of mapped" 4.0 (task_duration e task)
-
-let test_on_resource () =
-  let e = Engine.create () in
-  let r = Resource.create e ~name:"r" ~capacity:2.0 in
-  check_float "resource work" 3.0
-    (task_duration e (Process.on_resource r ~work:6.0 ()))
-
-let test_wrap () =
-  let e = Engine.create () in
-  let log = ref [] in
-  let task =
-    Process.wrap
-      ~before:(fun () -> log := "before" :: !log)
-      ~after:(fun () -> log := "after" :: !log)
-      (Process.delay e 1.0)
-  in
-  run_task e task;
-  Alcotest.(check (list string)) "order" [ "before"; "after" ] (List.rev !log)
-
 let test_nested_composition () =
   let e = Engine.create () in
   (* seq [1; par [2; seq [1; 1]]; 1] = 1 + max(2, 2) + 1 = 4 *)
@@ -125,9 +101,6 @@ let suite =
       Alcotest.test_case "par max" `Quick test_par_takes_max;
       Alcotest.test_case "par empty" `Quick test_par_empty;
       Alcotest.test_case "par completes once" `Quick test_par_completes_once;
-      Alcotest.test_case "map_par" `Quick test_map_par;
-      Alcotest.test_case "on_resource" `Quick test_on_resource;
-      Alcotest.test_case "wrap" `Quick test_wrap;
       Alcotest.test_case "nested composition" `Quick test_nested_composition;
       prop_seq_sums;
       prop_par_maxes;

@@ -4,27 +4,27 @@ module Resource = Simkit.Resource
 
 let make ?(capacity = 1.0) () =
   let e = Engine.create () in
-  (e, Resource.create e ~name:"r" ~capacity)
+  (e, Resource.create e ~capacity)
 
 let test_single_job_duration () =
   let e, r = make () in
   let done_at = ref nan in
-  ignore (Resource.submit r ~work:5.0 (fun () -> done_at := Engine.now e));
+  Resource.submit r ~work:5.0 (fun () -> done_at := Engine.now e);
   Engine.run e;
   check_float "work/capacity" 5.0 !done_at
 
 let test_capacity_scales () =
   let e, r = make ~capacity:2.0 () in
   let done_at = ref nan in
-  ignore (Resource.submit r ~work:5.0 (fun () -> done_at := Engine.now e));
+  Resource.submit r ~work:5.0 (fun () -> done_at := Engine.now e);
   Engine.run e;
   check_float "half the time" 2.5 !done_at
 
 let test_processor_sharing_two_equal_jobs () =
   let e, r = make () in
   let t1 = ref nan and t2 = ref nan in
-  ignore (Resource.submit r ~work:3.0 (fun () -> t1 := Engine.now e));
-  ignore (Resource.submit r ~work:3.0 (fun () -> t2 := Engine.now e));
+  Resource.submit r ~work:3.0 (fun () -> t1 := Engine.now e);
+  Resource.submit r ~work:3.0 (fun () -> t2 := Engine.now e);
   Engine.run e;
   (* Both share the capacity, so both finish at 6. *)
   check_float "job1" 6.0 !t1;
@@ -38,7 +38,7 @@ let test_linear_contention () =
       let e, r = make () in
       let finish = ref nan in
       for _ = 1 to n do
-        ignore (Resource.submit r ~work:3.4 (fun () -> finish := Engine.now e))
+        Resource.submit r ~work:3.4 (fun () -> finish := Engine.now e)
       done;
       Engine.run e;
       check_float
@@ -50,8 +50,8 @@ let test_linear_contention () =
 let test_shorter_job_finishes_first () =
   let e, r = make () in
   let short = ref nan and long = ref nan in
-  ignore (Resource.submit r ~work:1.0 (fun () -> short := Engine.now e));
-  ignore (Resource.submit r ~work:10.0 (fun () -> long := Engine.now e));
+  Resource.submit r ~work:1.0 (fun () -> short := Engine.now e);
+  Resource.submit r ~work:10.0 (fun () -> long := Engine.now e);
   Engine.run e;
   (* Shared until the short one finishes at t=2 (each got rate 1/2);
      the long one then runs alone: 10 - 1 = 9 remaining, done at 11. *)
@@ -61,10 +61,10 @@ let test_shorter_job_finishes_first () =
 let test_staggered_arrival () =
   let e, r = make () in
   let t1 = ref nan and t2 = ref nan in
-  ignore (Resource.submit r ~work:4.0 (fun () -> t1 := Engine.now e));
+  Resource.submit r ~work:4.0 (fun () -> t1 := Engine.now e);
   ignore
     (Engine.schedule e ~delay:2.0 (fun () ->
-         ignore (Resource.submit r ~work:4.0 (fun () -> t2 := Engine.now e))));
+         Resource.submit r ~work:4.0 (fun () -> t2 := Engine.now e)));
   Engine.run e;
   (* Job1 alone for 2 s (2 done), then shares: 2 remaining at rate 1/2
      -> finishes at 6. Job2: 2 done by then, runs alone after t=6,
@@ -75,10 +75,8 @@ let test_staggered_arrival () =
 let test_weights () =
   let e, r = make () in
   let heavy = ref nan and light = ref nan in
-  ignore
-    (Resource.submit r ~work:3.0 ~weight:3.0 (fun () -> heavy := Engine.now e));
-  ignore
-    (Resource.submit r ~work:1.0 ~weight:1.0 (fun () -> light := Engine.now e));
+  Resource.submit r ~work:3.0 ~weight:3.0 (fun () -> heavy := Engine.now e);
+  Resource.submit r ~work:1.0 ~weight:1.0 (fun () -> light := Engine.now e);
   Engine.run e;
   (* Rates 3/4 and 1/4: both need 4 seconds. *)
   check_float "heavy" 4.0 !heavy;
@@ -87,26 +85,15 @@ let test_weights () =
 let test_zero_work_completes () =
   let e, r = make () in
   let fired = ref false in
-  ignore (Resource.submit r ~work:0.0 (fun () -> fired := true));
+  Resource.submit r ~work:0.0 (fun () -> fired := true);
   Engine.run e;
   check_true "completed" !fired;
   check_float "no time passed" 0.0 (Engine.now e)
 
-let test_cancel () =
-  let e, r = make () in
-  let fired = ref false and other = ref nan in
-  let j = Resource.submit r ~work:5.0 (fun () -> fired := true) in
-  ignore (Resource.submit r ~work:5.0 (fun () -> other := Engine.now e));
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> Resource.cancel r j));
-  Engine.run e;
-  check_false "cancelled never fires" !fired;
-  (* Other job: shared for 1 s (0.5 done), then alone: finishes at 5.5. *)
-  check_float "other speeds up" 5.5 !other
-
 let test_set_capacity_repaces () =
   let e, r = make () in
   let done_at = ref nan in
-  ignore (Resource.submit r ~work:10.0 (fun () -> done_at := Engine.now e));
+  Resource.submit r ~work:10.0 (fun () -> done_at := Engine.now e);
   ignore (Engine.schedule e ~delay:5.0 (fun () -> Resource.set_capacity r 5.0));
   Engine.run e;
   (* 5 units in the first 5 s, then 5 units at rate 5 -> 1 more second. *)
@@ -115,18 +102,15 @@ let test_set_capacity_repaces () =
 let test_completion_allows_submit_in_callback () =
   let e, r = make () in
   let second_done = ref nan in
-  ignore
-    (Resource.submit r ~work:1.0 (fun () ->
-         ignore
-           (Resource.submit r ~work:2.0 (fun () ->
-                second_done := Engine.now e))));
+  Resource.submit r ~work:1.0 (fun () ->
+      Resource.submit r ~work:2.0 (fun () -> second_done := Engine.now e));
   Engine.run e;
   check_float "chained" 3.0 !second_done
 
 let test_accounting () =
   let e, r = make () in
-  ignore (Resource.submit r ~work:2.0 (fun () -> ()));
-  ignore (Resource.submit r ~work:2.0 (fun () -> ()));
+  Resource.submit r ~work:2.0 (fun () -> ());
+  Resource.submit r ~work:2.0 (fun () -> ());
   Engine.run e;
   check_float ~eps:1e-6 "work done" 4.0 (Resource.total_work_done r);
   check_float ~eps:1e-6 "busy time" 4.0 (Resource.busy_time r);
@@ -134,21 +118,21 @@ let test_accounting () =
 
 let test_busy_time_with_gaps () =
   let e, r = make () in
-  ignore (Resource.submit r ~work:1.0 (fun () -> ()));
+  Resource.submit r ~work:1.0 (fun () -> ());
   ignore
     (Engine.schedule e ~delay:10.0 (fun () ->
-         ignore (Resource.submit r ~work:1.0 (fun () -> ()))));
+         Resource.submit r ~work:1.0 (fun () -> ())));
   Engine.run e;
   check_float ~eps:1e-6 "busy excludes idle gap" 2.0 (Resource.busy_time r)
 
 let test_invalid_args () =
   let e = Engine.create () in
   check_true "bad capacity"
-    (try ignore (Resource.create e ~name:"x" ~capacity:0.0); false
+    (try ignore (Resource.create e ~capacity:0.0); false
      with Invalid_argument _ -> true);
-  let r = Resource.create e ~name:"x" ~capacity:1.0 in
+  let r = Resource.create e ~capacity:1.0 in
   check_true "bad weight"
-    (try ignore (Resource.submit r ~work:1.0 ~weight:0.0 (fun () -> ())); false
+    (try Resource.submit r ~work:1.0 ~weight:0.0 (fun () -> ()); false
      with Invalid_argument _ -> true)
 
 let prop_conservation =
@@ -158,7 +142,7 @@ let prop_conservation =
       let e, r = make () in
       let last = ref 0.0 in
       List.iter
-        (fun w -> ignore (Resource.submit r ~work:w (fun () -> last := Engine.now e)))
+        (fun w -> Resource.submit r ~work:w (fun () -> last := Engine.now e))
         works;
       Engine.run e;
       let total = List.fold_left ( +. ) 0.0 works in
@@ -172,7 +156,7 @@ let prop_completion_order =
       let order = ref [] in
       List.iteri
         (fun i w ->
-          ignore (Resource.submit r ~work:w (fun () -> order := (i, w) :: !order)))
+          Resource.submit r ~work:w (fun () -> order := (i, w) :: !order))
         works;
       Engine.run e;
       let completed = List.rev !order in
@@ -194,7 +178,6 @@ let suite =
       Alcotest.test_case "staggered arrival" `Quick test_staggered_arrival;
       Alcotest.test_case "weights" `Quick test_weights;
       Alcotest.test_case "zero work" `Quick test_zero_work_completes;
-      Alcotest.test_case "cancel" `Quick test_cancel;
       Alcotest.test_case "set capacity" `Quick test_set_capacity_repaces;
       Alcotest.test_case "submit in callback" `Quick
         test_completion_allows_submit_in_callback;

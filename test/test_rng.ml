@@ -11,17 +11,6 @@ let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   check_true "different seeds differ" (Rng.bits64 a <> Rng.bits64 b)
 
-let test_copy_independent () =
-  let a = Rng.create 3 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  let va = Rng.bits64 a in
-  let vb = Rng.bits64 b in
-  check_true "copy continues identically" (va = vb);
-  ignore (Rng.bits64 a);
-  let va2 = Rng.bits64 a and vb2 = Rng.bits64 b in
-  check_true "streams diverge after unequal draws" (va2 <> vb2)
-
 let test_split_independent () =
   let parent = Rng.create 11 in
   let child = Rng.split parent in
@@ -79,15 +68,6 @@ let test_exponential_positive () =
     check_true "positive" (Rng.exponential r ~mean:1.0 >= 0.0)
   done
 
-let test_bool_balance () =
-  let r = Rng.create 31 in
-  let trues = ref 0 in
-  let n = 10_000 in
-  for _ = 1 to n do
-    if Rng.bool r then incr trues
-  done;
-  check_in_band "roughly balanced" ~lo:4700.0 ~hi:5300.0 (float_of_int !trues)
-
 let prop_int_in_range =
   qtest "int stays in range"
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -101,7 +81,6 @@ let suite =
     [
       Alcotest.test_case "deterministic" `Quick test_deterministic;
       Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-      Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "split" `Quick test_split_independent;
       Alcotest.test_case "int range" `Quick test_int_range;
       Alcotest.test_case "int bound one" `Quick test_int_bound_one;
@@ -110,6 +89,5 @@ let suite =
       Alcotest.test_case "uniform mean" `Quick test_uniform_mean;
       Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
       Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
-      Alcotest.test_case "bool balance" `Quick test_bool_balance;
       prop_int_in_range;
     ] )

@@ -116,7 +116,9 @@ let with_temp_cache f =
   let cache = Cache.create ~dir () in
   Fun.protect
     ~finally:(fun () ->
-      Cache.clear cache;
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]);
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f cache)
 
@@ -126,7 +128,7 @@ let test_cache_hit_skips_run () =
       let task =
         {
           Sweep.key = "t";
-          cache_key = Some (Cache.key ~id:"t" ~params:"p" ~seed:42 ~calibration:"c");
+          cache_key = Some (Cache.key ~id:"t" ~params:"p" ~seed:42);
           run =
             (fun () ->
               Atomic.incr runs;
@@ -145,15 +147,57 @@ let test_cache_hit_skips_run () =
       | _ -> Alcotest.fail "expected one outcome per pass")
 
 let test_cache_key_identity () =
-  let k ~seed ~calibration =
-    Cache.key ~id:"fig4/mem=01" ~params:"p" ~seed ~calibration
-  in
+  let k ~seed = Cache.key ~id:"fig4/mem=01" ~params:"p" ~seed in
   check_true "stable for equal identity"
-    (String.equal (k ~seed:42 ~calibration:"c") (k ~seed:42 ~calibration:"c"));
-  check_false "seed changes the key"
-    (String.equal (k ~seed:42 ~calibration:"c") (k ~seed:43 ~calibration:"c"));
-  check_false "calibration changes the key"
-    (String.equal (k ~seed:42 ~calibration:"c") (k ~seed:42 ~calibration:"d"))
+    (String.equal (k ~seed:42) (k ~seed:42));
+  check_false "seed changes the key" (String.equal (k ~seed:42) (k ~seed:43));
+  check_false "params change the key"
+    (String.equal (k ~seed:42)
+       (Cache.key ~id:"fig4/mem=01" ~params:"q" ~seed:42))
+
+(* A cached value is only valid for the build that computed it. Before
+   the executable's digest joined the key, a cell's key was the digest
+   of (cell key, params, seed, calibration hash), so a rebuilt
+   simulator would read the old build's bytes, or decode a changed
+   record layout from them. Plant a wrong result under that old key:
+   the sweep must compute the cell afresh instead of serving it. *)
+let test_cache_ignores_other_builds () =
+  with_temp_cache (fun cache ->
+      let params = Spec.default_params in
+      let id = "quick_reload" in
+      let cell_key =
+        match (Spec.find_exn id).Spec.cells params with
+        | [ (key, _) ] -> key
+        | _ -> Alcotest.fail "quick_reload is one cell"
+      in
+      let calibration =
+        Digest.to_hex
+          (Digest.string (Marshal.to_string Rejuv.Calibration.default []))
+      in
+      let old_key =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "\x00"
+                [
+                  cell_key;
+                  Spec.params_key params;
+                  string_of_int params.Spec.seed;
+                  calibration;
+                ]))
+      in
+      let wrong = Experiment.run ~params "os_rejuvenation" in
+      Cache.store cache old_key (Marshal.to_string wrong []);
+      let merged, outcomes = Experiment.sweep ~jobs:1 ~cache ~params [ id ] in
+      (match outcomes with
+      | [ o ] -> check_false "not served from the cache" o.Sweep.metrics.cached
+      | _ -> Alcotest.fail "expected one outcome");
+      match merged with
+      | [ (_, Ok r) ] ->
+        Alcotest.(check string)
+          "freshly computed value"
+          (Result.to_json (Experiment.run ~params id))
+          (Result.to_json r)
+      | _ -> Alcotest.fail "expected one merged result")
 
 (* --- Result.to_json ------------------------------------------------------- *)
 
@@ -327,6 +371,8 @@ let suite =
       Alcotest.test_case "cache: hit skips the run" `Quick
         test_cache_hit_skips_run;
       Alcotest.test_case "cache: key identity" `Quick test_cache_key_identity;
+      Alcotest.test_case "cache: another build's entry is not served" `Quick
+        test_cache_ignores_other_builds;
       Alcotest.test_case "json validator sanity" `Quick
         test_json_validator_sanity;
       Alcotest.test_case "every experiment -> valid JSON" `Slow

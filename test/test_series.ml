@@ -1,101 +1,47 @@
+(* The event counter behind every throughput series (Obs.Metric.Counter):
+   a streaming total and the rate of the last completed window, with no
+   per-event state kept. *)
 open Helpers
-module Series = Simkit.Series
+module Counter = Obs.Metric.Counter
 
-let test_basic () =
-  let s = Series.create ~name:"tput" () in
-  check_true "name" (Series.name s = "tput");
-  check_int "empty" 0 (Series.length s);
-  Series.add s ~time:1.0 10.0;
-  Series.add s ~time:2.0 20.0;
-  check_int "two" 2 (Series.length s);
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "to_list" [ (1.0, 10.0); (2.0, 20.0) ] (Series.to_list s);
-  check_true "last" (Series.last s = Some (2.0, 20.0))
-
-let test_values_and_extremes () =
-  let s = Series.create () in
-  check_true "min empty" (Series.min_value s = None);
-  List.iter (fun (t, v) -> Series.add s ~time:t v)
-    [ (0.0, 5.0); (1.0, 1.0); (2.0, 9.0) ];
-  Alcotest.(check (list (float 1e-9))) "values" [ 5.0; 1.0; 9.0 ] (Series.values s);
-  check_true "min" (Series.min_value s = Some 1.0);
-  check_true "max" (Series.max_value s = Some 9.0)
-
-let test_between () =
-  let s = Series.create () in
-  List.iter (fun t -> Series.add s ~time:t t) [ 0.0; 1.0; 2.0; 3.0; 4.0 ];
-  let w = Series.between s ~lo:1.0 ~hi:3.0 in
-  check_int "window size" 3 (List.length w)
+let record_all c times = List.iter (fun t -> Counter.record c ~time:t) times
 
 let test_counter_total () =
-  let c = Series.Counter.create () in
-  check_int "empty" 0 (Series.Counter.total c);
-  List.iter (fun t -> Series.Counter.record c ~time:t) [ 0.1; 0.2; 5.0 ];
-  check_int "three" 3 (Series.Counter.total c)
+  let c = Counter.create () in
+  check_int "empty" 0 (Counter.total c);
+  record_all c [ 0.1; 0.2; 5.0 ];
+  check_int "three" 3 (Counter.total c)
 
 let test_counter_rate_series () =
-  let c = Series.Counter.create () in
+  let c = Counter.create () in
   (* 4 events in [0,1), 2 in [1,2). *)
-  List.iter (fun t -> Series.Counter.record c ~time:t)
-    [ 0.1; 0.2; 0.3; 0.9; 1.1; 1.5 ];
-  let rates = Series.Counter.rate_series c ~window:1.0 () in
-  (match rates with
-  | (t1, r1) :: (t2, r2) :: _ ->
-    check_float "w1 end" 1.0 t1;
-    check_float "w1 rate" 4.0 r1;
-    check_float "w2 end" 2.0 t2;
-    check_float "w2 rate" 2.0 r2
-  | _ -> Alcotest.fail "expected two windows");
-  check_int "window count" 2 (List.length rates)
+  record_all c [ 0.1; 0.2; 0.3; 0.9; 1.1; 1.5 ];
+  check_float "window [0,1)" 4.0 (Counter.last_window_rate c ~now:1.5);
+  check_float "window [1,2)" 2.0 (Counter.last_window_rate c ~now:2.5)
 
 let test_counter_rate_series_until () =
-  let c = Series.Counter.create () in
-  Series.Counter.record c ~time:0.5;
-  let rates = Series.Counter.rate_series c ~window:1.0 ~until:3.0 () in
-  check_int "padded windows" 3 (List.length rates);
-  let last_rate = snd (List.nth rates 2) in
-  check_float "empty tail window" 0.0 last_rate
-
-let test_counter_rate_between () =
-  let c = Series.Counter.create () in
-  List.iter (fun t -> Series.Counter.record c ~time:t) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_float "rate over [1,4]" (4.0 /. 3.0)
-    (Series.Counter.rate_between c ~lo:1.0 ~hi:4.0);
-  check_float "rate over empty region" 0.0
-    (Series.Counter.rate_between c ~lo:10.0 ~hi:20.0)
+  let c = Counter.create () in
+  Counter.record c ~time:0.5;
+  check_float "window with the event" 1.0 (Counter.last_window_rate c ~now:1.5);
+  check_float "empty tail window" 0.0 (Counter.last_window_rate c ~now:3.0)
 
 let test_counter_invalid () =
-  let c = Series.Counter.create () in
-  check_true "bad window"
-    (try ignore (Series.Counter.rate_series c ~window:0.0 ()); false
-     with Invalid_argument _ -> true);
-  check_true "bad interval"
-    (try ignore (Series.Counter.rate_between c ~lo:2.0 ~hi:1.0); false
-     with Invalid_argument _ -> true)
-
-let prop_counter_conserves_events =
-  qtest "rate series buckets conserve the event count"
-    QCheck.(list_of_size (Gen.int_range 0 100) (float_range 0.0 50.0))
-    (fun times ->
-      let c = Series.Counter.create () in
-      List.iter (fun t -> Series.Counter.record c ~time:t) times;
-      let rates = Series.Counter.rate_series c ~window:1.0 ~until:51.0 () in
-      let counted =
-        List.fold_left (fun acc (_, r) -> acc +. r) 0.0 rates
-      in
-      Float.abs (counted -. float_of_int (List.length times)) < 1e-6)
+  List.iter
+    (fun window ->
+      check_true
+        (Printf.sprintf "window %g rejected" window)
+        (try
+           ignore (Counter.create ~window ());
+           false
+         with Invalid_argument _ -> true))
+    [ 0.0; -1.0 ]
 
 let suite =
   ( "series",
     [
-      Alcotest.test_case "basic" `Quick test_basic;
-      Alcotest.test_case "values and extremes" `Quick test_values_and_extremes;
-      Alcotest.test_case "between" `Quick test_between;
       Alcotest.test_case "counter total" `Quick test_counter_total;
       Alcotest.test_case "counter rate series" `Quick test_counter_rate_series;
       Alcotest.test_case "counter rate until" `Quick
         test_counter_rate_series_until;
-      Alcotest.test_case "counter rate between" `Quick test_counter_rate_between;
       Alcotest.test_case "counter invalid args" `Quick test_counter_invalid;
-      prop_counter_conserves_events;
     ] )

@@ -108,13 +108,14 @@ module Typed = Simlint.Typed_lint
 
 (* The lintdeep fixture library is linked into this test executable, so
    its cmts exist under the build tree by the time we run; tests execute
-   with cwd = _build/default/test, making these paths relative. *)
-let deep_input name =
+   with cwd = _build/default/test, making these paths relative. [dir]
+   is where the unit is analyzed as living. *)
+let deep_input ?(dir = "lib/lintdeep") name =
   {
     Typed.cmt_path =
       Filename.concat "lint_fixtures/deep/.lintdeep.objs/byte"
         ("lintdeep__" ^ String.capitalize_ascii name ^ ".cmt");
-    as_path = Some (Printf.sprintf "lib/lintdeep/%s.ml" name);
+    as_path = Some (Printf.sprintf "%s/%s.ml" dir name);
     source_path = Some (fixture (Filename.concat "deep" (name ^ ".ml")));
   }
 
@@ -129,11 +130,12 @@ let test_d009_taint_chain () =
   let findings = deep_analyze [ "lfx_clock"; "lfx_mid"; "lfx_sim" ] in
   (* Direct primitive uses in lfx_clock are D001/D002's findings, not
      D009's; the waived-at-source read poisons nobody (wrap_ok and
-     healthy stay clean); both wrappers over the raw read and the
-     two-deep chain in lfx_sim fire. *)
+     healthy stay clean); both wrappers over the raw read, the two-deep
+     chain in lfx_sim and lfx_sim's [let () =] item (reported at the
+     item) fire. *)
   Alcotest.(check (list (triple string int int)))
     "indirect taint flagged at wrapper definitions"
-    [ ("D009", 4, 4); ("D009", 8, 4); ("D009", 4, 4) ]
+    [ ("D009", 4, 4); ("D009", 8, 4); ("D009", 4, 4); ("D009", 8, 0) ]
     (summarize_deep findings);
   let step =
     List.find
@@ -154,12 +156,12 @@ let test_d009_taint_chain () =
     |> String.split_on_char '\n' |> List.length = 5)
 
 let test_d010_captures () =
-  (* Captured Hashtbl (directly or through a local helper) fires;
-     Atomic, fresh-alloc-inside-closure and Mutex-guarded cases do
-     not. *)
+  (* Captured Hashtbl (directly, through a local helper, or in a
+     toplevel [let () =] / [let _ =] item) fires; Atomic,
+     fresh-alloc-inside-closure and Mutex-guarded cases do not. *)
   Alcotest.(check (list (triple string int int)))
     "only unsynchronized captures flagged"
-    [ ("D010", 6, 10); ("D010", 40, 10) ]
+    [ ("D010", 6, 10); ("D010", 40, 10); ("D010", 46, 14); ("D010", 50, 14) ]
     (summarize_deep (deep_analyze [ "lfx_races" ]))
 
 let test_d011_globals () =
@@ -169,6 +171,32 @@ let test_d011_globals () =
     "mutable toplevel globals flagged"
     [ ("D011", 4, 4); ("D011", 6, 4); ("D011", 8, 4); ("D011", 10, 4) ]
     (summarize_deep (deep_analyze [ "lfx_globals" ]))
+
+let test_d012_reachability () =
+  (* Lfx_main is analyzed as a bin/ root and Lfx_test as a test. The
+     root reaches [direct] by name, [Inner.via_alias] only through
+     Lfx_alias's [module Api = Lfx_api.Inner], [Inner.via_let_module]
+     through a [let module], and [from_init] only from its [let () =]
+     item; [from_lib_init] is reached from Lfx_api's own [let () =].
+     [pp] is a pretty-printer. Only the export a test alone uses and
+     the one nothing uses are flagged, at their .mli lines. *)
+  let findings =
+    Typed.analyze_units
+      [
+        deep_input "lfx_api";
+        deep_input "lfx_alias";
+        deep_input ~dir:"bin" "lfx_main";
+        deep_input ~dir:"test" "lfx_test";
+      ]
+  in
+  Alcotest.(check (list (triple string int int)))
+    "test-only and unused exports flagged"
+    [ ("D012", 21, 0); ("D012", 24, 0) ]
+    (summarize_deep findings);
+  check_true "reported against the interface"
+    (List.for_all
+       (fun (f : Typed.deep_finding) -> f.df.file = "lib/lintdeep/lfx_api.mli")
+       findings)
 
 let test_sarif_output () =
   let findings = deep_analyze [ "lfx_globals" ] in
@@ -276,6 +304,8 @@ let suite =
         test_d010_captures;
       Alcotest.test_case "D011 toplevel mutable globals" `Quick
         test_d011_globals;
+      Alcotest.test_case "D012 library code without a production caller"
+        `Quick test_d012_reachability;
       Alcotest.test_case "SARIF output" `Quick test_sarif_output;
       Alcotest.test_case "JSON carries rule titles" `Quick test_json_titles;
       Alcotest.test_case "repo lints clean" `Quick test_repo_lints_clean;

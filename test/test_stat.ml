@@ -23,19 +23,6 @@ let test_summary () =
   check_float "min" 1.0 s.Stat.min;
   check_float "max" 5.0 s.Stat.max
 
-let test_percentile () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  check_float "p0" 1.0 (Stat.percentile xs ~p:0.0);
-  check_float "p50" 3.0 (Stat.percentile xs ~p:50.0);
-  check_float "p100" 5.0 (Stat.percentile xs ~p:100.0);
-  check_float "p25 interpolates" 2.0 (Stat.percentile xs ~p:25.0);
-  check_float "p90 interpolates" 4.6 (Stat.percentile xs ~p:90.0)
-
-let test_percentile_invalid () =
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Stat.percentile: p outside [0, 100]") (fun () ->
-      ignore (Stat.percentile [ 1.0 ] ~p:101.0))
-
 let test_linear_fit_exact () =
   let points = List.init 10 (fun i ->
       let x = float_of_int i in
@@ -66,39 +53,36 @@ let test_eval_linear () =
   let line = { Stat.slope = 3.0; intercept = 1.0; r2 = 1.0 } in
   check_float "eval" 10.0 (Stat.eval_linear line 3.0)
 
+(* Welford's one-pass mean and sample variance: an independent
+   (online) reference for the batch statistics. *)
+let online xs =
+  let n, mean, m2 =
+    List.fold_left
+      (fun (n, mean, m2) x ->
+        let n = n + 1 in
+        let delta = x -. mean in
+        let mean = mean +. (delta /. float_of_int n) in
+        (n, mean, m2 +. (delta *. (x -. mean))))
+      (0, 0.0, 0.0) xs
+  in
+  (mean, if n < 2 then 0.0 else m2 /. float_of_int (n - 1))
+
 let test_online_matches_batch () =
   let xs = [ 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 ] in
-  let o = Stat.Online.create () in
-  List.iter (Stat.Online.add o) xs;
-  check_int "count" (List.length xs) (Stat.Online.count o);
-  check_float ~eps:1e-9 "mean" (Stat.mean xs) (Stat.Online.mean o);
-  check_float ~eps:1e-9 "stddev" (Stat.stddev xs) (Stat.Online.stddev o)
+  let mean, variance = online xs in
+  check_float ~eps:1e-9 "mean" mean (Stat.mean xs);
+  check_float ~eps:1e-9 "stddev" (sqrt variance) (Stat.stddev xs)
 
 let test_online_small () =
-  let o = Stat.Online.create () in
-  check_float "variance of empty" 0.0 (Stat.Online.variance o);
-  Stat.Online.add o 42.0;
-  check_float "variance of one" 0.0 (Stat.Online.variance o);
-  check_float "mean of one" 42.0 (Stat.Online.mean o)
+  check_float "stddev of empty" (sqrt (snd (online []))) (Stat.stddev []);
+  check_float "stddev of one" (sqrt (snd (online [ 42.0 ])))
+    (Stat.stddev [ 42.0 ]);
+  check_float "mean of one" (fst (online [ 42.0 ])) (Stat.mean [ 42.0 ])
 
 let prop_online_mean =
   qtest "online mean equals batch mean"
     QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_inclusive 100.0))
-    (fun xs ->
-      let o = Stat.Online.create () in
-      List.iter (Stat.Online.add o) xs;
-      Float.abs (Stat.Online.mean o -. Stat.mean xs) < 1e-6)
-
-let prop_percentile_bounds =
-  qtest "percentile within min..max"
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 50) (float_bound_inclusive 100.0))
-        (float_bound_inclusive 100.0))
-    (fun (xs, p) ->
-      let v = Stat.percentile xs ~p in
-      let s = Stat.summarize xs in
-      v >= s.Stat.min -. 1e-9 && v <= s.Stat.max +. 1e-9)
+    (fun xs -> Float.abs (fst (online xs) -. Stat.mean xs) < 1e-6)
 
 let prop_fit_recovers_line =
   qtest "fit recovers exact lines"
@@ -120,8 +104,6 @@ let suite =
       Alcotest.test_case "mean empty" `Quick test_mean_empty;
       Alcotest.test_case "stddev" `Quick test_stddev;
       Alcotest.test_case "summary" `Quick test_summary;
-      Alcotest.test_case "percentile" `Quick test_percentile;
-      Alcotest.test_case "percentile invalid" `Quick test_percentile_invalid;
       Alcotest.test_case "linear fit exact" `Quick test_linear_fit_exact;
       Alcotest.test_case "linear fit noisy" `Quick test_linear_fit_noisy;
       Alcotest.test_case "linear fit errors" `Quick test_linear_fit_errors;
@@ -129,6 +111,5 @@ let suite =
       Alcotest.test_case "online matches batch" `Quick test_online_matches_batch;
       Alcotest.test_case "online small samples" `Quick test_online_small;
       prop_online_mean;
-      prop_percentile_bounds;
       prop_fit_recovers_line;
     ] )

@@ -41,15 +41,6 @@ let test_zero_outage () =
     (try ignore (Tcp.survives ~outage_s:(-1.0) ()); false
      with Invalid_argument _ -> true)
 
-let test_first_retransmit_after () =
-  let cfg = { Tcp.rto_initial_s = 1.0; rto_max_s = 8.0; max_retries = 6 } in
-  (* Outage 5 s: next retry at offset 7, so 2 s after recovery. *)
-  (match Tcp.first_retransmit_after ~config:cfg ~outage_s:5.0 () with
-  | Some d -> check_float "post-recovery latency" 2.0 d
-  | None -> Alcotest.fail "expected survival");
-  check_true "dead session yields None"
-    (Tcp.first_retransmit_after ~config:cfg ~outage_s:100.0 () = None)
-
 let prop_longer_outages_never_help =
   qtest "survival is monotone in outage length"
     QCheck.(pair (float_range 0.0 1500.0) (float_range 0.0 1500.0))
@@ -87,8 +78,6 @@ let suite =
       Alcotest.test_case "client timeout (paper scenario)" `Quick
         test_client_timeout;
       Alcotest.test_case "zero outage" `Quick test_zero_outage;
-      Alcotest.test_case "first retransmit after" `Quick
-        test_first_retransmit_after;
       prop_longer_outages_never_help;
       prop_offsets_increasing;
     ] )

@@ -33,23 +33,6 @@ let test_end_span_idempotent () =
   | [ ("x", _, stop) ] -> check_float "first end wins" 0.0 stop
   | _ -> Alcotest.fail "expected one span"
 
-let test_duration_sums_same_label () =
-  let e = Engine.create () in
-  let tr = Trace.create e in
-  let mk delay len =
-    ignore
-      (Engine.schedule e ~delay (fun () ->
-           let s = Trace.begin_span tr "phase" in
-           ignore (Engine.schedule e ~delay:len (fun () -> Trace.end_span tr s))))
-  in
-  mk 0.0 1.0;
-  mk 5.0 2.0;
-  Engine.run e;
-  (match Trace.duration tr "phase" with
-  | Some d -> check_float "summed" 3.0 d
-  | None -> Alcotest.fail "expected duration");
-  check_true "missing label" (Trace.duration tr "nope" = None)
-
 let test_instants () =
   let e = Engine.create () in
   let tr = Trace.create e in
@@ -64,16 +47,6 @@ let test_find_span () =
   Trace.end_span tr s;
   check_true "found" (Trace.find_span tr "a" = Some (0.0, 0.0));
   check_true "not found" (Trace.find_span tr "b" = None)
-
-let test_clear () =
-  let e = Engine.create () in
-  let tr = Trace.create e in
-  let s = Trace.begin_span tr "a" in
-  Trace.end_span tr s;
-  Trace.instant tr "m";
-  Trace.clear tr;
-  check_int "spans gone" 0 (List.length (Trace.spans tr));
-  check_int "instants gone" 0 (List.length (Trace.instants tr))
 
 let test_spans_in_start_order () =
   let e = Engine.create () in
@@ -95,9 +68,7 @@ let suite =
       Alcotest.test_case "span interval" `Quick test_span_records_interval;
       Alcotest.test_case "open span hidden" `Quick test_open_span_not_listed;
       Alcotest.test_case "end idempotent" `Quick test_end_span_idempotent;
-      Alcotest.test_case "duration sums" `Quick test_duration_sums_same_label;
       Alcotest.test_case "instants" `Quick test_instants;
       Alcotest.test_case "find span" `Quick test_find_span;
-      Alcotest.test_case "clear" `Quick test_clear;
       Alcotest.test_case "start order" `Quick test_spans_in_start_order;
     ] )

@@ -29,11 +29,9 @@ let test_mode_enum () =
   check_true "per_request alias"
     (Simkit.Enum.of_string Fluid.mode_enum "per_request" = Ok Fluid.Per_request);
   Alcotest.(check string) "round-trip" "fluid" (Fluid.mode_name Fluid.Fluid);
-  (match Simkit.Enum.of_string Fluid.mode_enum "bogus" with
+  match Simkit.Enum.of_string Fluid.mode_enum "bogus" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus mode accepted");
-  check_true "config label"
-    (contains ~needle:"clients=7" (Fluid.config_label { Fluid.default_config with Fluid.clients = 7 }))
+  | Ok _ -> Alcotest.fail "bogus mode accepted"
 
 (* --- httperf window queries (binary search satellites) ------------------- *)
 
@@ -49,13 +47,22 @@ let test_throughput_between_closed_interval () =
   (* Closed interval: both endpoint completions (1.0 and 3.0) count. *)
   check_float "closed-interval count" 2.5
     (Httperf.throughput_between load ~lo:1.0 ~hi:3.0);
-  (* The binary-searched result must equal the Counter's linear scan
-     for arbitrary windows. *)
+  (* The binary-searched result must equal a linear count over the
+     completion timestamps for arbitrary windows. *)
+  let linear_rate ~lo ~hi =
+    let times = Httperf.completion_times load in
+    let n = ref 0 in
+    for i = 0 to Simkit.Fvec.length times - 1 do
+      let t = Simkit.Fvec.get times i in
+      if t >= lo && t <= hi then incr n
+    done;
+    float_of_int !n /. (hi -. lo)
+  in
   List.iter
     (fun (lo, hi) ->
       check_float
-        (Printf.sprintf "matches Counter.rate_between [%g, %g]" lo hi)
-        (Simkit.Series.Counter.rate_between (Httperf.counter load) ~lo ~hi)
+        (Printf.sprintf "matches a linear count [%g, %g]" lo hi)
+        (linear_rate ~lo ~hi)
         (Httperf.throughput_between load ~lo ~hi))
     [ (0.0, 10.0); (0.4, 0.6); (2.25, 7.75); (9.9, 12.0); (10.5, 11.0) ];
   match Httperf.throughput_between load ~lo:3.0 ~hi:3.0 with
@@ -111,8 +118,7 @@ let test_fluid_steady_closed_form () =
     (Fluid.throughput_between load ~lo:5.0 ~hi:15.0);
   check_in_band "completed ~ X * t" ~lo:950.0 ~hi:1050.0
     (float_of_int (Fluid.completed load));
-  check_true "no tracer events in pure fluid" (Fluid.tracer_requests load = 0);
-  check_true "no tracer handle" (Fluid.tracer load = None)
+  check_true "no tracer events in pure fluid" (Fluid.tracer_requests load = 0)
 
 let test_fluid_capacity_clamp () =
   let e = Engine.create () in
@@ -157,14 +163,7 @@ let test_fluid_outage_and_ramp () =
   check_float ~eps:1e-9 "nothing served while down" 0.0
     (Fluid.throughput_between load ~lo:11.0 ~hi:29.0);
   check_float ~eps:1e-9 "backlog cleared after the ramp" 0.0
-    (Fluid.backlog load);
-  (* M/G/1-PS latency view is live once traffic flows again. *)
-  (match (Fluid.latency_mean_s load, Fluid.latency_quantile_s load ~p:0.99) with
-  | Some m, Some q99 -> check_true "p99 above mean" (q99 > m)
-  | _ -> Alcotest.fail "expected fluid latency estimates");
-  match Fluid.latency_quantile_s load ~p:1.5 with
-  | _ -> Alcotest.fail "quantile p outside (0,1) accepted"
-  | exception Invalid_argument _ -> ()
+    (Fluid.backlog load)
 
 let test_hybrid_capacity_shared () =
   (* 2 tracer connections at 0.02 s/request consume ~100 req/s of a
@@ -199,7 +198,7 @@ let test_hybrid_capacity_shared () =
 
 (* Hybrid with [tracers = clients] leaves the fluid bulk empty, so every
    observable must equal Per_request bit-for-bit — same completions,
-   same failures, same windows, same stall — under an outage and
+   same failures, same throughput, same stall — under an outage and
    recovery. *)
 let run_mode_for_law mode ~clients ~service_s =
   let e = Engine.create () in
@@ -225,7 +224,6 @@ let run_mode_for_law mode ~clients ~service_s =
   ( Fluid.completed load,
     Fluid.failed load,
     Fluid.throughput_between load ~lo:1.0 ~hi:39.0,
-    Fluid.mean_window_throughput load ~every:10,
     Fluid.longest_stall_s load )
 
 let qcheck_hybrid_equals_per_request =
@@ -284,7 +282,6 @@ let test_open_stream_loss_accounting () =
   Engine.run e;
   check_int "offered = rate x horizon" 2000 (Fluid.Open.offered s);
   check_int "lost only while unserved" 1000 (Fluid.Open.lost s);
-  check_float ~eps:1e-9 "loss ratio" 0.5 (Fluid.Open.loss_ratio s);
   List.iter
     (fun rate ->
       match
@@ -355,11 +352,6 @@ let test_open_streams_batch_per_epoch () =
   check_int "offered: one value = three" (sum Fluid.Open.offered separate)
     offered;
   check_int "lost: one value = three" (sum Fluid.Open.lost separate) lost;
-  Alcotest.(check (float 0.0))
-    "loss ratio: one value = three"
-    (float_of_int (sum Fluid.Open.lost separate)
-    /. float_of_int (sum Fluid.Open.offered separate))
-    (Fluid.Open.loss_ratio (List.hd batched));
   check_int "offered = rates x horizon" 1400 offered;
   (* Stream 0 loses half of ticks 11..60 and all of 61..100; stream 1
      all of ticks 30..60 and three quarters of 61..100. *)

@@ -29,7 +29,6 @@ let test_pp () =
   check_true "millis" (d 0.083 = "83 ms")
 
 let test_time_helpers () =
-  check_float "minutes" 120.0 (Units.minutes 2.0);
   check_float "hours" 7200.0 (Units.hours 2.0);
   check_float "days" 86400.0 (Units.days 1.0);
   check_float "weeks" 604800.0 (Units.weeks 1.0)

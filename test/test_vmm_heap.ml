@@ -1,6 +1,11 @@
 open Helpers
 module Heap = Xenvmm.Vmm_heap
 
+let alloc_exn h ~tag ~bytes =
+  match Heap.alloc h ~tag ~bytes with
+  | Ok a -> a
+  | Error `Out_of_memory -> Alcotest.fail "unexpected heap exhaustion"
+
 let test_default_capacity () =
   (* Xen 3.0's 16 MiB hypervisor heap. *)
   check_int "16 MiB" (16 * 1024 * 1024) Heap.default_capacity_bytes;
@@ -9,7 +14,7 @@ let test_default_capacity () =
 
 let test_alloc_free () =
   let h = Heap.create ~capacity_bytes:1000 () in
-  let a = Heap.alloc_exn h ~tag:"domain/vm1" ~bytes:300 in
+  let a = alloc_exn h ~tag:"domain/vm1" ~bytes:300 in
   check_int "used" 300 (Heap.used_bytes h);
   check_int "free" 700 (Heap.free_bytes h);
   Heap.free h a;
@@ -19,12 +24,12 @@ let test_out_of_memory () =
   let h = Heap.create ~capacity_bytes:100 () in
   check_true "refused" (Heap.alloc h ~tag:"x" ~bytes:101 = Error `Out_of_memory);
   check_int "no effect" 0 (Heap.used_bytes h);
-  let _ = Heap.alloc_exn h ~tag:"x" ~bytes:100 in
+  let _ = alloc_exn h ~tag:"x" ~bytes:100 in
   check_true "full" (Heap.exhausted h)
 
 let test_double_free () =
   let h = Heap.create ~capacity_bytes:100 () in
-  let a = Heap.alloc_exn h ~tag:"x" ~bytes:10 in
+  let a = alloc_exn h ~tag:"x" ~bytes:10 in
   Heap.free h a;
   check_true "raises" (try Heap.free h a; false with Invalid_argument _ -> true)
 
@@ -57,17 +62,17 @@ let test_exhaustion_rearms_after_free () =
   let h = Heap.create ~capacity_bytes:100 () in
   let fired = ref 0 in
   Heap.on_exhaustion h (fun () -> incr fired);
-  let a = Heap.alloc_exn h ~tag:"x" ~bytes:100 in
+  let a = alloc_exn h ~tag:"x" ~bytes:100 in
   check_int "first" 1 !fired;
   Heap.free h a;
-  let _ = Heap.alloc_exn h ~tag:"x" ~bytes:100 in
+  let _ = alloc_exn h ~tag:"x" ~bytes:100 in
   check_int "re-armed" 2 !fired
 
 let test_usage_by_tag () =
   let h = Heap.create ~capacity_bytes:1000 () in
-  let _a = Heap.alloc_exn h ~tag:"domain/vm1" ~bytes:100 in
-  let b = Heap.alloc_exn h ~tag:"domain/vm2" ~bytes:200 in
-  let _c = Heap.alloc_exn h ~tag:"domain/vm1" ~bytes:50 in
+  let _a = alloc_exn h ~tag:"domain/vm1" ~bytes:100 in
+  let b = alloc_exn h ~tag:"domain/vm2" ~bytes:200 in
+  let _c = alloc_exn h ~tag:"domain/vm1" ~bytes:50 in
   Alcotest.(check (list (pair string int)))
     "tags" [ ("domain/vm1", 150); ("domain/vm2", 200) ]
     (Heap.usage_by_tag h);
@@ -78,7 +83,7 @@ let test_usage_by_tag () =
 
 let test_allocation_bytes () =
   let h = Heap.create ~capacity_bytes:100 () in
-  let a = Heap.alloc_exn h ~tag:"x" ~bytes:42 in
+  let a = alloc_exn h ~tag:"x" ~bytes:42 in
   check_int "size" 42 (Heap.allocation_bytes a)
 
 let prop_accounting =

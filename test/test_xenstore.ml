@@ -29,17 +29,6 @@ let test_directory () =
   Alcotest.(check (list string)) "leaves" [ "memory"; "name" ]
     (Xenstore.directory s ~path:"/vm/2")
 
-let test_watch () =
-  let s = Xenstore.create () in
-  let seen = ref [] in
-  Xenstore.watch s ~path:"/vm/1" (fun p -> seen := p :: !seen);
-  Xenstore.write s ~path:"/vm/1/state" "running";
-  Xenstore.write s ~path:"/vm/2/state" "running";
-  Xenstore.rm s ~path:"/vm/1";
-  Alcotest.(check (list string))
-    "only watched prefix" [ "/vm/1/state"; "/vm/1" ]
-    (List.rev !seen)
-
 let test_transactions_counted () =
   let s = Xenstore.create () in
   Xenstore.write s ~path:"/a" "1";
@@ -58,31 +47,12 @@ let test_leak_per_transaction () =
   let grown = Xenstore.memory_bytes s - before in
   check_true "leaked at least 400 KiB" (grown >= 100 * 4096)
 
-let test_io_slowdown_under_pressure () =
-  let s =
-    Xenstore.create ~leak_per_transaction_bytes:(1024 * 1024)
-      ~memory_budget_bytes:(8 * 1024 * 1024) ()
-  in
-  check_float "healthy" 1.0 (Xenstore.io_slowdown s);
-  for _ = 1 to 10 do
-    Xenstore.write s ~path:"/x" "y"
-  done;
-  check_true "degraded past budget" (Xenstore.io_slowdown s > 1.5)
-
-let test_not_restartable () =
-  (* The paper's point: xenstored cannot be restarted without rebooting
-     dom0 (and thus, without warm-VM reboot, the whole VMM). *)
-  check_false "not restartable" Xenstore.restartable
-
 let suite =
   ( "xenstore",
     [
       Alcotest.test_case "read/write" `Quick test_read_write;
       Alcotest.test_case "rm subtree" `Quick test_rm_subtree;
       Alcotest.test_case "directory" `Quick test_directory;
-      Alcotest.test_case "watch" `Quick test_watch;
       Alcotest.test_case "transactions counted" `Quick test_transactions_counted;
       Alcotest.test_case "leak per transaction" `Quick test_leak_per_transaction;
-      Alcotest.test_case "io slowdown" `Quick test_io_slowdown_under_pressure;
-      Alcotest.test_case "not restartable" `Quick test_not_restartable;
     ] )

@@ -161,48 +161,17 @@ let kernel_on engine vmm ~name ~mem_bytes =
   run_task engine (Guest.Kernel.boot kernel);
   kernel
 
-let test_balloon_resizes_cache () =
-  let engine, _host, vmm = booted_vmm () in
-  let kernel = kernel_on engine vmm ~name:"vm01" ~mem_bytes:(gib 2) in
-  let cache = Guest.Kernel.page_cache kernel in
-  let cap_before = Guest.Page_cache.capacity_bytes cache in
-  (match Guest.Kernel.balloon kernel ~delta_bytes:(-gib 1) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Vmm.error_message e));
-  check_int "memory halved" (gib 1) (Guest.Kernel.current_mem_bytes kernel);
-  check_true "cache shrank"
-    (Guest.Page_cache.capacity_bytes cache < cap_before);
-  (match Guest.Kernel.balloon kernel ~delta_bytes:(mib 512) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Vmm.error_message e));
-  check_int "memory grown" (gib 1 + mib 512)
-    (Guest.Kernel.current_mem_bytes kernel)
-
-let test_balloon_shrink_evicts () =
-  let engine, _host, vmm = booted_vmm () in
-  let kernel = kernel_on engine vmm ~name:"vm01" ~mem_bytes:(gib 2) in
-  let fs = Guest.Kernel.filesystem kernel in
-  let f = Guest.Filesystem.create_file fs ~bytes:(gib 1) () in
-  Guest.Filesystem.warm_file fs f;
-  check_float "resident" 1.0 (Guest.Filesystem.cached_fraction fs f);
-  (match Guest.Kernel.balloon kernel ~delta_bytes:(-(gib 1 + mib 512)) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Vmm.error_message e));
-  (* 512 MiB VM -> ~435 MiB cache: most of the gigabyte file is out. *)
-  check_true "cache partially evicted"
-    (Guest.Filesystem.cached_fraction fs f < 0.5);
-  check_true "cache invariants"
-    (Guest.Page_cache.check_invariants (Guest.Kernel.page_cache kernel) = Ok ())
-
 let test_ballooned_vm_survives_warm_reboot () =
   (* Section 4.1: the P2M-mapping table stays correct under ballooning,
      so a ballooned VM on-memory suspends and resumes exactly. *)
   let engine, _host, vmm = booted_vmm () in
   let kernel = kernel_on engine vmm ~name:"vm01" ~mem_bytes:(gib 2) in
-  (match Guest.Kernel.balloon kernel ~delta_bytes:(-mib 512) with
+  let dom = Guest.Kernel.domain kernel in
+  let mapped () = Xenvmm.P2m.mapped_bytes (Domain.p2m dom) in
+  (match Vmm.balloon vmm dom ~delta_bytes:(-mib 512) with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Vmm.error_message e));
-  let mapped = Guest.Kernel.current_mem_bytes kernel in
+  let ballooned = mapped () in
   run_task engine (Vmm.shutdown_dom0 vmm);
   run_task engine (Vmm.suspend_all_on_memory vmm);
   let reloaded = ref None in
@@ -215,8 +184,7 @@ let test_ballooned_vm_survives_warm_reboot () =
       resumed := Some r);
   Engine.run engine;
   check_true "resumed" (!resumed = Some (Ok ()));
-  check_int "exact ballooned size preserved" mapped
-    (Guest.Kernel.current_mem_bytes kernel);
+  check_int "exact ballooned size preserved" ballooned (mapped ());
   check_true "p2m invariants"
     (Xenvmm.P2m.check_invariants (Domain.p2m (Guest.Kernel.domain kernel))
     = Ok ())
@@ -236,9 +204,11 @@ let test_memory_overcommit_via_balloon () =
   | Some (Error Simkit.Fault.Out_of_memory) -> ()
   | _ -> Alcotest.fail "expected OOM before ballooning");
   (* ...until the running guests balloon down. *)
-  (match Guest.Kernel.balloon k1 ~delta_bytes:(-gib 1) with
+  (match Vmm.balloon vmm (Guest.Kernel.domain k1) ~delta_bytes:(-gib 1) with
   | Ok () -> () | Error e -> Alcotest.fail (Vmm.error_message e));
-  (match Guest.Kernel.balloon k2 ~delta_bytes:(-(gib 1 + mib 512)) with
+  (match
+     Vmm.balloon vmm (Guest.Kernel.domain k2) ~delta_bytes:(-(gib 1 + mib 512))
+   with
   | Ok () -> () | Error e -> Alcotest.fail (Vmm.error_message e));
   let placed = ref None in
   Vmm.create_domain vmm ~name:"vm03" ~mem_bytes:(gib 2) (fun r ->
@@ -264,10 +234,6 @@ let suite =
       Alcotest.test_case "destroy unregisters" `Quick test_destroy_unregisters;
       Alcotest.test_case "store rebuilt after warm reboot" `Quick
         test_store_rebuilt_after_warm_reboot;
-      Alcotest.test_case "balloon resizes cache" `Quick
-        test_balloon_resizes_cache;
-      Alcotest.test_case "balloon shrink evicts" `Quick
-        test_balloon_shrink_evicts;
       Alcotest.test_case "ballooned VM survives warm reboot" `Quick
         test_ballooned_vm_survives_warm_reboot;
       Alcotest.test_case "overcommit via balloon" `Quick

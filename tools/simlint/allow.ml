@@ -68,6 +68,115 @@ let entries =
     };
   ]
 
+(* D012 keeps: exported lib/ values that no production root reaches
+   but that stay, keyed by canonical value name. The kind says why;
+   pretty-printers ([pp], [pp_*]) need no entry. *)
+type kind =
+  | Test_observer
+      (** a read-only accessor or invariant check through which a test
+          asserts something about code a root runs *)
+  | Paper_reference
+      (** a paper constant or equation a test checks a claim against *)
+  | Roadmap_hook  (** an open ROADMAP item will call it *)
+
+type keep = { value : string; kind : kind; why : string }
+
+let keeps =
+  let observer why value = { value; kind = Test_observer; why } in
+  let frames = "frame-conservation and allocator tests" in
+  let grants = "grant-table tests of the rings boot and suspend set up" in
+  let store = "xenstore and toolstack-registration tests" in
+  List.map (observer frames)
+    [
+      "Hw.Frame.extent_bytes";
+      "Hw.Frame.extents_bytes";
+      "Hw.Frame.extents_frames";
+      "Hw.Frame.total_frames";
+      "Hw.Frame.free_frames";
+      "Hw.Frame.used_frames";
+      "Hw.Frame.is_free";
+    ]
+  @ List.map (observer grants)
+      [
+        "Guest.Kernel.io_ring_grants";
+        "Xenvmm.Grant_table.is_mapped";
+        "Xenvmm.Grant_table.grants_owned_by";
+        "Xenvmm.Grant_table.mappings_held_by";
+      ]
+  @ List.map (observer store)
+      [
+        "Xenvmm.Vmm.xenstore";
+        "Xenvmm.Xenstore.read";
+        "Xenvmm.Xenstore.directory";
+        "Xenvmm.Xenstore.transactions";
+        "Xenvmm.Xenstore.entries";
+        "Xenvmm.Xenstore.memory_bytes";
+      ]
+  @ List.map
+      (fun (value, why) -> observer why value)
+      [
+        ("Guest.Page_cache.resident_blocks", "LRU eviction tests");
+        ("Guest.Page_cache.mem", "LRU tests: a lookup that counts nothing");
+        ("Guest.Service.state", "service lifecycle tests");
+        ("Guest.Service.total_downtime", "service downtime accounting test");
+        ("Guest.Service.transitions", "integration test of a warm reboot");
+        ("Mem.Pagestate.dirty_pages", "page-state tracker tests");
+        ("Mem.Stream.cold_bytes", "streamed-restore tests");
+        ("Mem.Stream.complete", "streamed-restore tests");
+        ("Rejuv.Cluster.throughput_at", "Section 6 timeline tests");
+        ("Rejuv.Policy.os_rejuvenation_count", "Figure 2 schedule tests");
+        ("Rejuv.Policy.vmm_rejuvenation_count", "Figure 2 schedule tests");
+        ("Rejuv.Policy.Load.level_at", "load-profile tests");
+        ("Simkit.Fault.Plan.calls", "injection-plan trigger tests");
+        ("Simkit.Fault.Plan.fired", "injection-plan trigger tests");
+        ("Simkit.Fault.Plan.armed_sites", "injection-plan arming test");
+        ("Simkit.Resource.total_work_done", "processor-sharing accounting test");
+        ("Simkit.Trace.find_span", "span-recording tests");
+        ("Xenvmm.Aging.heap_history", "aging reboot-resets-history test");
+        ("Xenvmm.Aging.leaked_since_boot", "aging leak tests");
+        ("Xenvmm.Domain.devices", "device attach/detach and suspend tests");
+        ("Xenvmm.P2m.mapped_bytes", "P2M and memory-conservation tests");
+        ("Xenvmm.P2m.fold", "P2M table tests");
+        ("Xenvmm.P2m.lookup", "P2M lookup tests");
+        ("Xenvmm.Scheduler.utilization", "credit-scheduler cap tests");
+        ("Xenvmm.Vmm.hypercall_count", "hypercall tests of create, balloon, xexec");
+        ("Xenvmm.Vmm.saved_images", "save/restore and disk-full tests");
+        ("Xenvmm.Vmm.staged_image", "xexec staging tests");
+        ("Xenvmm.Vmm.preserved_bytes", "warm-reboot preservation test");
+        ("Xenvmm.Vmm_heap.allocation_bytes", "VMM heap allocation test");
+        ("Xenvmm.Vmm_heap.usage_by_tag", "VMM heap per-tag accounting test");
+      ]
+  @ List.map
+      (fun value ->
+        {
+          value;
+          kind = Paper_reference;
+          why =
+            "the Section 3.2/5.6 downtime model that tests check the \
+             paper's claims against; ROADMAP items 5 and 8 will call it";
+        })
+      [
+        "Rejuv.Downtime_model.paper_fits";
+        "Rejuv.Downtime_model.d_warm";
+        "Rejuv.Downtime_model.d_cold";
+        "Rejuv.Downtime_model.reduction";
+        "Rejuv.Downtime_model.always_positive";
+      ]
+  @ List.map
+      (fun (value, why) -> { value; kind = Roadmap_hook; why })
+      [
+        ( "Guest.Service.on_transition",
+          "ROADMAP item 3: incremental healthy-host counts per shard" );
+        ( "Xenvmm.Domain.on_state_change",
+          "ROADMAP item 3: the matching kernel-side transition hook" );
+        ("Hw.Frame.check_invariants", "ROADMAP item 4: the invariant auditor");
+        ("Xenvmm.P2m.check_invariants", "ROADMAP item 4: the invariant auditor");
+        ( "Xenvmm.Grant_table.check_invariants",
+          "ROADMAP item 4: the invariant auditor" );
+      ]
+
+let kept value = List.find_opt (fun k -> String.equal k.value value) keeps
+
 let normalize path =
   let path = String.map (function '\\' -> '/' | c -> c) path in
   if String.length path > 2 && String.sub path 0 2 = "./" then

@@ -1,9 +1,12 @@
 (* Distills compiled .cmt files (the typedtree dumps dune produces for
    every module it builds) into the facts the interprocedural passes
    need: per-unit toplevel value definitions with the canonicalized
-   list of values each one references (the call graph), type
-   declarations (for the mutability oracle), domain-boundary closure
-   sites with their transitive capture sets, and toplevel globals.
+   list of values each one references (the call graph), the unit's
+   anonymous module-initialization items ([let () = ...], [let _ = ...],
+   [;;]-style evals), module aliases, type declarations (for the
+   mutability oracle), domain-boundary closure sites with their
+   transitive capture sets, and toplevel globals. [read_exports] reads
+   the matching .cmti: every [val] the interface exports.
 
    Unlike the Parsetree pass, everything here is name-resolved by the
    compiler itself: a one-line alias around [Random.int], an [open], or
@@ -41,11 +44,21 @@ type spawn_site = {
 
 type global = { g_key : string; g_ty : Types.type_expr; g_loc : Location.t }
 
+type export = { e_key : string; e_loc : Location.t }
+
 type unit_info = {
   modname : string;
   canon : string list;
   src : string;  (** logical '/'-separated repo-relative source path *)
   defs : def list;
+  inits : def list;
+      (** anonymous toplevel items, which run when the module is
+          initialized; each key is ["<Unit>.<init:LINE>"], which no
+          reference can name *)
+  aliases : (string * string) list;
+      (** toplevel [module X = P] items, canonical name to canonical
+          target *)
+  exports : export list;  (** the [val]s of the unit's interface *)
   spawns : spawn_site list;
   globals : global list;
   decls : (string * Types.type_declaration) list;
@@ -54,9 +67,61 @@ type unit_info = {
           this unit's [type_expr]s) with this unit's alias table *)
 }
 
+(* --- canonical names ----------------------------------------------------- *)
+
+(* "Runner__Pool" -> ["Runner"; "Pool"]; "Obs__" -> ["Obs"] (dune's
+   generated alias module); plain "Obs" -> ["Obs"]. *)
+let split_mangled m =
+  let n = String.length m in
+  let rec go acc start i =
+    if i + 1 >= n then
+      let last = String.sub m start (n - start) in
+      List.rev (if last = "" then acc else last :: acc)
+    else if m.[i] = '_' && m.[i + 1] = '_' then
+      go (String.sub m start (i - start) :: acc) (i + 2) (i + 2)
+    else go acc start (i + 1)
+  in
+  if n = 0 then [] else go [] 0 0
+
 (* --- reading ------------------------------------------------------------- *)
 
-type raw = { r_modname : string; r_src : string; r_str : structure }
+type raw = {
+  r_modname : string;
+  r_src : string;
+  r_str : structure;
+  r_exports : export list;  (** from the .cmti beside the .cmt, if any *)
+}
+
+(* Every [val] of an interface, nested module signatures included,
+   keyed [prefix.name] ([prefix] is the unit's canonical path). Module
+   aliases ([module Metric = Metric]) are skipped: the aliased unit's
+   own interface exports those values. *)
+let rec sig_exports prefix sg =
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+        [
+          {
+            e_key = String.concat "." (prefix @ [ vd.val_name.txt ]);
+            e_loc = vd.val_loc;
+          };
+        ]
+      | Tsig_module { md_name = { txt = Some name; _ }; md_type; _ } -> (
+        match md_type.mty_desc with
+        | Tmty_signature sg -> sig_exports (prefix @ [ name ]) sg
+        | _ -> [])
+      | _ -> [])
+    sg.sig_items
+
+let read_exports ~canon path =
+  if not (Sys.file_exists path) then []
+  else
+    match Cmt_format.read_cmt path with
+    | exception _ -> []
+    | { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } ->
+      sig_exports canon sg
+    | _ -> []
 
 (* [as_path] serves the same purpose as in [Lint.lint_file]: the test
    fixtures are compiled under test/ but must be analyzed as if they
@@ -79,24 +144,12 @@ let read ?as_path path =
           r_modname = cmt.Cmt_format.cmt_modname;
           r_src = Allow.normalize src;
           r_str = str;
+          r_exports =
+            read_exports
+              ~canon:(split_mangled cmt.Cmt_format.cmt_modname)
+              (path ^ "i");
         }
     | _ -> None)
-
-(* --- canonical names ----------------------------------------------------- *)
-
-(* "Runner__Pool" -> ["Runner"; "Pool"]; "Obs__" -> ["Obs"] (dune's
-   generated alias module); plain "Obs" -> ["Obs"]. *)
-let split_mangled m =
-  let n = String.length m in
-  let rec go acc start i =
-    if i + 1 >= n then
-      let last = String.sub m start (n - start) in
-      List.rev (if last = "" then acc else last :: acc)
-    else if m.[i] = '_' && m.[i + 1] = '_' then
-      go (String.sub m start (i - start) :: acc) (i + 2) (i + 2)
-    else go acc start (i + 1)
-  in
-  if n = 0 then [] else go [] 0 0
 
 let is_arrow ty =
   let rec go ty =
@@ -143,10 +196,19 @@ let distill ~units raw =
 
   (* Pass A: walk the structure (into nested modules) collecting
      toplevel value definitions, type declarations, module aliases and
-     toplevel [;;]-style eval items. *)
+     anonymous items: a [let] whose pattern binds no name ([let () =],
+     [let _ =]) or a [;;]-style eval. *)
   let defs_by_ident : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let def_sites = ref [] in
-  let evals = ref [] in
+  let inits = ref [] in
+  let init_site (loc : Location.t) e =
+    let key =
+      Printf.sprintf "%s.<init:%d>" (String.concat "." canon)
+        loc.loc_start.pos_lnum
+    in
+    inits := (key, loc, e) :: !inits
+  in
+  let mod_aliases = ref [] in
   let globals = ref [] in
   let decls = ref [] in
   let rec unwrap_mod me =
@@ -173,6 +235,8 @@ let distill ~units raw =
                     g_loc = vb.vb_pat.pat_loc;
                   }
                   :: !globals
+              | _ when pat_bound_idents vb.vb_pat = [] ->
+                init_site item.str_loc vb.vb_expr
               | _ -> ())
             vbs
         | Tstr_type (_, tds) ->
@@ -185,7 +249,7 @@ let distill ~units raw =
             tds
         | Tstr_module mb -> mod_binding prefix mb
         | Tstr_recmodule mbs -> List.iter (mod_binding prefix) mbs
-        | Tstr_eval (e, _) -> evals := e :: !evals
+        | Tstr_eval (e, _) -> init_site item.str_loc e
         | _ -> ())
       strl
   and mod_binding prefix mb =
@@ -193,12 +257,36 @@ let distill ~units raw =
     | Some id, Some name -> (
       match unwrap_mod mb.mb_expr with
       | Tmod_ident (p, _) ->
-        Hashtbl.replace aliases (Ident.unique_name id) (mod_path p)
+        Hashtbl.replace aliases (Ident.unique_name id) (mod_path p);
+        mod_aliases :=
+          (String.concat "." (prefix @ [ name ]), canon_of_path p)
+          :: !mod_aliases
       | Tmod_structure s -> items (prefix @ [ name ]) s.str_items
       | _ -> ())
     | _ -> ()
   in
   items canon raw.r_str.str_items;
+
+  (* [let module H = Metric.Histogram in ...] aliases, registered
+     before any pass reads a body, so [H.add] canonicalizes to the
+     aliased module's value. *)
+  let letmodule_aliases =
+    let super = Tast_iterator.default_iterator in
+    let expr sub e =
+      (match e.exp_desc with
+      | Texp_letmodule (Some id, _, _, me, _) -> (
+        match unwrap_mod me with
+        | Tmod_ident (p, _) ->
+          Hashtbl.replace aliases (Ident.unique_name id) (mod_path p)
+        | _ -> ())
+      | _ -> ());
+      super.expr sub e
+    in
+    { super with Tast_iterator.expr }
+  in
+  List.iter
+    (fun (_, _, e) -> letmodule_aliases.expr letmodule_aliases e)
+    (!def_sites @ !inits);
 
   (* The canonical name of a value reference, if it has one: a dotted
      path, or a bare ident that resolves to one of this unit's own
@@ -367,19 +455,21 @@ let distill ~units raw =
     let it = { super with Tast_iterator.expr = site_expr } in
     it.expr it item_expr
   in
-  List.iter (fun (_, _, e) -> scan_item e) !def_sites;
-  List.iter scan_item !evals;
+  List.iter (fun (_, _, e) -> scan_item e) (!def_sites @ !inits);
 
-  let defs =
+  let to_defs sites =
     List.rev_map
       (fun (key, loc, expr) -> { key; dloc = loc; refs = refs_of_expr expr })
-      !def_sites
+      sites
   in
   {
     modname = raw.r_modname;
     canon;
     src = raw.r_src;
-    defs;
+    defs = to_defs !def_sites;
+    inits = to_defs !inits;
+    aliases = List.rev !mod_aliases;
+    exports = raw.r_exports;
     spawns = List.rev !spawns;
     globals = List.rev !globals;
     decls = List.rev !decls;

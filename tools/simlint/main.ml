@@ -11,8 +11,9 @@
        (default _build/default; pass `.` when already running inside
        it, as the @lint-deep rule does), keep units whose source lives
        under one of the prefixes (default lib), and run the
-       interprocedural rules D009-D011. --why appends the full call
-       chain to each D009 finding.
+       interprocedural rules D009-D012 (D012 also loads the production
+       roots under bin/, bench/, examples/, perfbench/ and tools/).
+       --why appends the full call chain to each D009 finding.
 
    Exit code 0 when clean, 1 with findings, 2 on usage/parse errors.
    The deep pass reports its wall time on stderr either way, so the CI

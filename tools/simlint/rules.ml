@@ -31,11 +31,12 @@ let catalogue =
     ("D006", "direct stdout printing inside lib/; use Report/Trace");
     ("D007", "exception-swallowing wildcard handler");
     ("D008", "failwith/Failure raise inside lib/; report a typed Simkit.Fault");
-    (* D009-D011 are produced by the typedtree (cmt) pass; they live in
+    (* D009-D012 are produced by the typedtree (cmt) pass; they live in
        the same catalogue so inline suppressions validate uniformly. *)
     ("D009", "function transitively reaches wall-clock or ambient RNG");
     ("D010", "closure crossing a domain boundary captures mutable state");
     ("D011", "toplevel mutable global in lib/");
+    ("D012", "exported lib/ value that no production root reaches");
   ]
 
 let known_rule id = List.mem_assoc id catalogue

@@ -9,7 +9,8 @@
    function defined under lib/ whose body does not itself touch a
    primitive (that is direct use — D001/D002's job) but transitively
    reaches one is reported, with the full call chain retained for
-   [--why]. *)
+   [--why]. Anonymous toplevel items ([let () = ...]) take part as
+   definitions that nothing calls, so one is reported at the item. *)
 
 type chain_step = { s_what : string; s_file : string; s_line : int }
 
@@ -44,7 +45,7 @@ let analyze ~(units : Callgraph.unit_info list)
       List.iter
         (fun (d : Callgraph.def) ->
           if not (Hashtbl.mem defs d.key) then Hashtbl.add defs d.key (d, u))
-        u.defs)
+        (u.defs @ u.inits))
     units;
 
   (* Reverse edges: callee key -> (caller key, call site). *)
@@ -80,7 +81,7 @@ let analyze ~(units : Callgraph.unit_info list)
                 end
               | None -> ())
             d.refs)
-        u.defs)
+        (u.defs @ u.inits))
     units;
 
   (* Breadth-first propagation along reverse call edges; deterministic

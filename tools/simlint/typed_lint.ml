@@ -1,7 +1,7 @@
 (* Driver for the deep (typedtree) pass: discover .cmt files under the
    dune build directory, distill them (Callgraph), run the
-   interprocedural analyses (Taint for D009, Races for D010/D011),
-   then subtract inline suppressions and allow.ml entries exactly like
+   interprocedural analyses (Taint for D009, Races for D010/D011, Reach
+   for D012), then subtract inline suppressions and allow.ml entries exactly like
    the Parsetree pass does.
 
    The pass runs from the `@lint-deep` alias, whose rule depends on
@@ -45,21 +45,30 @@ let under_any ~prefixes src =
 
 (* Read cmts, dropping interface-only/partial ones and duplicate
    compilations of the same module (dune can leave byte and native
-   objs dirs). [pairs] carry the real path suppressions are read from. *)
+   objs dirs). Executables all mangle their modules under [Dune__exe],
+   so a module is identified by its name and its source together.
+   [pairs] carry the real path suppressions are read from. *)
 let read_pairs inputs =
   let seen = Hashtbl.create 64 in
   List.filter_map
     (fun i ->
       match Callgraph.read ?as_path:i.as_path i.cmt_path with
-      | Some raw when not (Hashtbl.mem seen raw.Callgraph.r_modname) ->
-        Hashtbl.add seen raw.Callgraph.r_modname ();
+      | Some raw
+        when not (Hashtbl.mem seen (raw.Callgraph.r_modname, raw.r_src)) ->
+        Hashtbl.add seen (raw.Callgraph.r_modname, raw.r_src) ();
         Some (raw, Option.value i.source_path ~default:raw.Callgraph.r_src)
       | _ -> None)
     inputs
 
-let analyze_pairs pairs =
+(* D009-D011 run on the units [in_scope] accepts; D012 walks every
+   unit given (its roots live outside lib/) and reports the exports of
+   the units in scope. *)
+let analyze_pairs ?(in_scope = fun _ -> true) pairs =
   let sources = List.map (fun (r, sp) -> (r.Callgraph.r_src, sp)) pairs in
-  let units = Callgraph.load ~units_raw:(List.map fst pairs) in
+  let all_units = Callgraph.load ~units_raw:(List.map fst pairs) in
+  let units =
+    List.filter (fun (u : Callgraph.unit_info) -> in_scope u.src) all_units
+  in
   (* Inline suppressions, read lazily per logical source file from the
      real file that was compiled. *)
   let supp_cache : (string, Lint.suppression list) Hashtbl.t =
@@ -94,33 +103,43 @@ let analyze_pairs pairs =
            && not (Allow.allowed ~rule:f.rule ~path:f.file))
     |> List.map (fun f -> { df = f; chain = [] })
   in
+  let d012 =
+    Reach.analyze ~units:all_units ~report:(fun u -> in_scope u.src)
+    |> List.map (fun f -> { df = f; chain = [] })
+  in
   List.sort
     (fun a b ->
       compare
         (a.df.file, a.df.line, a.df.col, a.df.rule, a.df.message)
         (b.df.file, b.df.line, b.df.col, b.df.rule, b.df.message))
-    (d009 @ d010_11)
+    (d009 @ d010_11 @ d012)
 
 let analyze_units inputs = analyze_pairs (read_pairs inputs)
 
 (* Whole-build scan: every cmt is read, but only units whose source
-   sits under one of the requested prefixes take part, so fixture
+   sits under one of the requested prefixes are checked, so fixture
    libraries under test/ and executables under bin/ never pollute a
-   lib/ scan. *)
+   lib/ scan. The rest of lib/ and the production roots are loaded too,
+   for D012's reachability; test/ units are not. *)
 let analyze_build ~build ~prefixes =
   let inputs =
     discover ~build
     |> List.map (fun c -> { cmt_path = c; as_path = None; source_path = None })
   in
+  let in_scope = under_any ~prefixes in
   let pairs =
     read_pairs inputs
-    |> List.filter (fun (r, _) -> under_any ~prefixes r.Callgraph.r_src)
+    |> List.filter (fun (r, _) ->
+           let src = r.Callgraph.r_src in
+           in_scope src
+           || Allow.under_prefix ~prefix:"lib/" src
+           || Reach.is_root src)
     (* Sources are copied into the build tree next to the cmts;
        resolve them relative to it so suppressions are found no matter
        where the process itself is running. *)
     |> List.map (fun (r, _) -> (r, Filename.concat build r.Callgraph.r_src))
   in
-  analyze_pairs pairs
+  analyze_pairs ~in_scope pairs
 
 (* --- rendering ----------------------------------------------------------- *)
 

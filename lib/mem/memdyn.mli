@@ -35,8 +35,8 @@ type t = {
       (** Half-width of the per-epoch multiplicative jitter applied to
           the working set, in fractions of its base size. Default 0.2. *)
   sample_interval_s : float;
-      (** Dirty-bitmap / working-set sampling epoch (the PML log-read
-          cadence). Default 5 s. *)
+      (** Working-set and dirty-rate sampling epoch: the tracker
+          redraws both once per epoch. Default 5 s. *)
   balloon_floor_bytes : int;
       (** Resident memory the balloon driver never reclaims below,
           whatever the working set says. Default 64 MiB. *)

@@ -8,8 +8,6 @@ type t = {
   mutable ws_pages : int;
   mutable rate_factor : float;
   mutable ballooned : int;
-  bitmap : Bytes.t;
-  mutable dirty : int;
 }
 
 (* Stable FNV-style string hash: the tracker seed must depend only on
@@ -52,8 +50,6 @@ let create ~memdyn ~name ~total_bytes ~now =
     ws_pages = base_ws_pages;
     rate_factor = 1.0;
     ballooned = 0;
-    bitmap = Bytes.make ((total_pages + 7) / 8) '\000';
-    dirty = 0;
   }
 
 let cfg t = t.cfg
@@ -63,7 +59,6 @@ let resident_bytes t = resident_pages t * Simkit.Units.page_bytes
 let ballooned_pages t = t.ballooned
 let working_set_pages t = clamp 1 (resident_pages t) t.ws_pages
 let working_set_bytes t = working_set_pages t * Simkit.Units.page_bytes
-let dirty_pages t = t.dirty
 let dirty_rate_factor t = t.rate_factor
 
 let dirty_rate_pages_per_s t =
@@ -71,31 +66,12 @@ let dirty_rate_pages_per_s t =
   *. float_of_int (working_set_pages t)
   /. t.cfg.Memdyn.sample_interval_s
 
-let bit_set t i = Char.code (Bytes.get t.bitmap (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit t i =
-  if not (bit_set t i) then begin
-    let byte = Char.code (Bytes.get t.bitmap (i lsr 3)) in
-    Bytes.set t.bitmap (i lsr 3) (Char.chr (byte lor (1 lsl (i land 7))));
-    t.dirty <- t.dirty + 1
-  end
-
-let clear_bit t i =
-  if bit_set t i then begin
-    let byte = Char.code (Bytes.get t.bitmap (i lsr 3)) in
-    Bytes.set t.bitmap (i lsr 3) (Char.chr (byte land lnot (1 lsl (i land 7))));
-    t.dirty <- t.dirty - 1
-  end
-
-let clear_dirty t =
-  Bytes.fill t.bitmap 0 (Bytes.length t.bitmap) '\000';
-  t.dirty <- 0
-
-(* One sampling epoch: re-jitter the working set around its base, draw
-   the epoch's dirty-rate modulation, and mark one contiguous run of
-   working-set-many pages dirty at a random resident offset (wrapping).
-   Exactly three RNG draws whatever the bitmap does, so the stream
-   position is a pure function of the epoch count. *)
+(* One sampling epoch: re-jitter the working set around its base and
+   draw the epoch's dirty-rate modulation. The third draw, an offset
+   into the resident range, feeds nothing; it stays, with its bound,
+   because every later epoch's draws sit behind it in the seeded
+   stream. Exactly three draws per epoch keep the stream position a
+   pure function of the epoch count. *)
 let advance_epoch t =
   let resident = resident_pages t in
   let factor =
@@ -105,13 +81,7 @@ let advance_epoch t =
     clamp 1 resident
       (int_of_float (Float.round (factor *. float_of_int t.base_ws_pages)));
   t.rate_factor <- 0.75 +. (0.5 *. Simkit.Rng.uniform t.rng);
-  let start = Simkit.Rng.int t.rng (max 1 resident) in
-  if t.dirty < resident then begin
-    let run = min t.ws_pages resident in
-    for i = 0 to run - 1 do
-      set_bit t ((start + i) mod resident)
-    done
-  end;
+  ignore (Simkit.Rng.int t.rng (max 1 resident) : int);
   t.epoch <- t.epoch + 1
 
 let refresh t ~now =
@@ -125,14 +95,9 @@ let refresh t ~now =
 let set_ballooned t ~pages =
   if pages < 0 || pages >= t.total_pages then
     invalid_arg "Pagestate.set_ballooned: pages outside [0, total)";
-  if pages > t.ballooned then
-    (* Shrinking residency: dirty bits past the new end fall off. *)
-    for i = t.total_pages - pages to t.total_pages - t.ballooned - 1 do
-      clear_bit t i
-    done;
   t.ballooned <- pages
 
 let pp ppf t =
   Format.fprintf ppf
-    "pagestate(%d pages, %d resident, ws %d, %d dirty, %d ballooned)"
-    t.total_pages (resident_pages t) (working_set_pages t) t.dirty t.ballooned
+    "pagestate(%d pages, %d resident, ws %d, %d ballooned)"
+    t.total_pages (resident_pages t) (working_set_pages t) t.ballooned

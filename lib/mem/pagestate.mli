@@ -1,6 +1,9 @@
-(** Per-domain page-state model: a seeded working-set process plus a
-    PML-style dirty bitmap, layered over the pfn space that
-    [Xenvmm.P2m] maintains.
+(** Per-domain page-state model: a seeded working-set process and
+    dirty-rate modulation, layered over the pfn space that
+    [Xenvmm.P2m] maintains. It tracks how many pages are hot and how
+    fast they are dirtied, not which pages: the balloon target, the
+    streamed restore's hot set and the migration pre-copy's dirty rate
+    need only those figures.
 
     Pages are in one of three states: {e resident} (backed by a machine
     frame), {e ballooned} (returned to the hypervisor by the balloon
@@ -31,8 +34,9 @@ val create :
 
 val refresh : t -> now:float -> unit
 (** Advance the process to time [now]: one working-set draw, one
-    dirty-rate draw and one dirty-run draw per whole elapsed sampling
-    epoch. Idempotent within an epoch. *)
+    dirty-rate draw and one draw whose value is discarded (it holds the
+    seeded stream position) per whole elapsed sampling epoch.
+    Idempotent within an epoch. *)
 
 val cfg : t -> Memdyn.t
 (** The configuration the tracker was created with. *)
@@ -48,15 +52,6 @@ val working_set_pages : t -> int
 
 val working_set_bytes : t -> int
 
-val dirty_pages : t -> int
-(** Set bits in the dirty bitmap (pages touched since the last
-    {!clear_dirty}). Saturates at the resident page count. *)
-
-val clear_dirty : t -> unit
-(** Reset the bitmap, as reading and clearing the PML log does. Called
-    at suspend (the written image is the new clean snapshot) and after
-    each migration pre-copy round. *)
-
 val dirty_rate_factor : t -> float
 (** Multiplicative modulation, in [[1 - 0.25, 1 + 0.25]], that the
     current epoch applies to the workload's static dirty rate. *)
@@ -68,8 +63,6 @@ val dirty_rate_pages_per_s : t -> float
 
 val set_ballooned : t -> pages:int -> unit
 (** Record that the tail [pages] of the pfn space are ballooned out.
-    Shrinking residency clears dirty bits that fell off the end;
-    re-inflating does not invent dirty pages.
     @raise Invalid_argument if [pages] is negative or >= total. *)
 
 val pp : Format.formatter -> t -> unit

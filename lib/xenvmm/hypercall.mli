@@ -1,7 +1,8 @@
 (** Hypercall vocabulary, for tracing and aging hooks.
 
-    The simulator counts hypercalls the way the real RootHammer kernel
-    issues them; the aging model and the tests key off these events. *)
+    The VMM emits one [Vmm.Hypercall] event for each hypercall the
+    real RootHammer kernel would issue; the debug log traces them, and
+    tests count them through [Vmm.on_event]. *)
 
 type t =
   | Suspend of Domain.id  (** guest-issued on-memory suspend *)

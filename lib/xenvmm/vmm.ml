@@ -37,7 +37,6 @@ type t = {
   mutable vmm_state : vmm_state;
   mutable gen : int;
   mutable observers : (event -> unit) list;
-  hypercalls : (string, int) Hashtbl.t;
   (* Serializes per-domain hypercall work inside the VMM. *)
   vmm_lock : Simkit.Resource.t;
   mutable leak_per_destroy : int;
@@ -69,7 +68,6 @@ let create ?(timing = Timing.default) ?(heap_capacity = Vmm_heap.default_capacit
     vmm_state = Powered_off;
     gen = 0;
     observers = [];
-    hypercalls = Hashtbl.create 16;
     vmm_lock =
       Simkit.Resource.create hw.Hw.Host.engine ~capacity:1.0;
     leak_per_destroy = 0;
@@ -125,18 +123,9 @@ let emit t e =
       m "[t=%.2f gen=%d] %a"
         (Simkit.Engine.now t.hw.Hw.Host.engine)
         t.gen pp_event e);
-  (match e with
-  | Hypercall h ->
-    let key = Hypercall.name h in
-    let n = Option.value (Hashtbl.find_opt t.hypercalls key) ~default:0 in
-    Hashtbl.replace t.hypercalls key (n + 1)
-  | _ -> ());
   List.iter (fun f -> f e) (List.rev t.observers)
 
 let on_event t f = t.observers <- f :: t.observers
-
-let hypercall_count t name =
-  Option.value (Hashtbl.find_opt t.hypercalls name) ~default:0
 
 let set_leak_per_domain_destroy t ~bytes = t.leak_per_destroy <- bytes
 let set_xenstore_leak_per_txn t ~bytes = t.xenstore_leak_per_txn <- bytes
@@ -780,10 +769,6 @@ let save_domain_to_disk t d k =
             (balloon t d
                ~delta_bytes:(-(reclaim * Simkit.Units.page_bytes)))
       | _ -> ());
-      (* The frozen image on disk is the new clean snapshot. *)
-      (match Domain.mem_tracker d with
-      | Some ps -> Mem.Pagestate.clear_dirty ps
-      | None -> ());
       let resident_bytes =
         match Domain.mem_tracker d with
         | Some ps -> Mem.Pagestate.resident_bytes ps

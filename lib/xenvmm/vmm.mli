@@ -99,7 +99,6 @@ val dom0 : t -> Domain.t option
 val domus : t -> Domain.t list
 (** Live domain Us (any state except destroyed), in id order. *)
 
-val hypercall_count : t -> string -> int
 val on_event : t -> (event -> unit) -> unit
 
 val set_leak_per_domain_destroy : t -> bytes:int -> unit

@@ -30,6 +30,18 @@ let no_aging =
     xenstore_leak_per_txn_bytes = 0;
   }
 
+(* Counts, by name, the hypercalls [vmm] issues from now on, through
+   its event stream: [let n = count_hypercalls vmm in ... n "xexec"]. *)
+let count_hypercalls vmm =
+  let counts = Hashtbl.create 8 in
+  Xenvmm.Vmm.on_event vmm (function
+    | Xenvmm.Vmm.Hypercall h ->
+      let name = Xenvmm.Hypercall.name h in
+      let n = Option.value (Hashtbl.find_opt counts name) ~default:0 in
+      Hashtbl.replace counts name (n + 1)
+    | _ -> ());
+  fun name -> Option.value (Hashtbl.find_opt counts name) ~default:0
+
 let qtest ?(count = 200) name arbitrary law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary law)
 

@@ -123,7 +123,6 @@ let test_pagestate_call_pattern_invariance () =
   done;
   check_int "working set" (Pagestate.working_set_pages a)
     (Pagestate.working_set_pages b);
-  check_int "dirty" (Pagestate.dirty_pages a) (Pagestate.dirty_pages b);
   check_float ~eps:0.0 "rate factor" (Pagestate.dirty_rate_factor a)
     (Pagestate.dirty_rate_factor b);
   (* Creation order of other trackers cannot perturb a stream: the RNG
@@ -134,25 +133,50 @@ let test_pagestate_call_pattern_invariance () =
   Pagestate.refresh d ~now:50.0;
   check_int "order-invariant working set" (Pagestate.working_set_pages a)
     (Pagestate.working_set_pages d);
-  check_int "order-invariant dirty" (Pagestate.dirty_pages a)
-    (Pagestate.dirty_pages d)
+  check_float ~eps:0.0 "order-invariant rate factor"
+    (Pagestate.dirty_rate_factor a)
+    (Pagestate.dirty_rate_factor d)
+
+(* The first ten epochs of one seeded stream. Each epoch makes three
+   draws: the working set, the dirty rate and one whose value is
+   discarded. Every later epoch depends on all three, so dropping or
+   reordering a draw fails here before it moves a figure. *)
+let test_pagestate_epoch_pin () =
+  let t = tracker "vm3" in
+  let epoch_s = (Pagestate.cfg t).Memdyn.sample_interval_s in
+  List.iteri
+    (fun i (ws, factor) ->
+      let epoch = i + 1 in
+      Pagestate.refresh t ~now:(float_of_int epoch *. epoch_s);
+      check_int
+        (Printf.sprintf "working set after epoch %d" epoch)
+        ws (Pagestate.working_set_pages t);
+      check_float ~eps:0.0
+        (Printf.sprintf "rate factor after epoch %d" epoch)
+        factor (Pagestate.dirty_rate_factor t))
+    [
+      (23145, 0x1.8277e2a5cf8bep-1);
+      (22600, 0x1.e942097eee3fep-1);
+      (19884, 0x1.ad4dd711e341p-1);
+      (18114, 0x1.0d3cce084c794p+0);
+      (18584, 0x1.e8f1dc3c21159p-1);
+      (24236, 0x1.adabac06b7dfcp-1);
+      (21535, 0x1.999b989143938p-1);
+      (22994, 0x1.a7c9783ccd481p-1);
+      (17074, 0x1.834d5c9a9e645p-1);
+      (16260, 0x1.1a1a3593eba25p+0);
+    ]
 
 let test_pagestate_balloon_accounting () =
   let t = tracker ~mib:64 "vm0" in
   let total = Pagestate.total_pages t in
   check_int "all resident at start" total (Pagestate.resident_pages t);
   Pagestate.refresh t ~now:10.0;
-  check_true "epoch dirtied some pages" (Pagestate.dirty_pages t > 0);
-  check_true "dirty <= resident" (Pagestate.dirty_pages t <= total);
   Pagestate.set_ballooned t ~pages:(total / 2);
   check_int "resident shrinks" (total - (total / 2))
     (Pagestate.resident_pages t);
-  check_true "dirty bits beyond residency cleared"
-    (Pagestate.dirty_pages t <= Pagestate.resident_pages t);
   check_true "ws clamped to resident"
     (Pagestate.working_set_pages t <= Pagestate.resident_pages t);
-  Pagestate.clear_dirty t;
-  check_int "clear_dirty empties the bitmap" 0 (Pagestate.dirty_pages t);
   check_true "ballooning everything rejected"
     (invalid (fun () -> Pagestate.set_ballooned t ~pages:total));
   check_true "negative balloon rejected"
@@ -303,6 +327,34 @@ let qcheck_stream_equals_stop_and_copy =
            -. streamed.Experiment.downtime_mean_s)
          < 1e-6)
 
+(* Golden: the seeded memdyn runs, pinned byte for byte. The tracker
+   sizes every balloon target and streamed hot set in them, so a change
+   to its draws, or to a path that reads it, moves a digest. *)
+let test_memdyn_goldens () =
+  let digest ?(memdyn = Memdyn.Off) id =
+    let params = { Experiment.Spec.default_params with memdyn } in
+    Digest.to_hex
+      (Digest.string
+         (Experiment.Result.to_json (Experiment.run ~params id)))
+  in
+  List.iter
+    (fun (label, expected, actual) ->
+      Alcotest.(check string) label expected (actual ()))
+    [
+      ( "elastic_restore",
+        "242e36a694077583d82d6b4439b01529",
+        fun () -> digest "elastic_restore" );
+      ( "fig4 stream",
+        "b17364edf27360340464b5906cafab32",
+        fun () -> digest ~memdyn:Memdyn.Stream "fig4" );
+      ( "fig5 balloon_stream",
+        "d9faed6be4de9090f187c540b682ff2f",
+        fun () -> digest ~memdyn:Memdyn.Balloon_stream "fig5" );
+      ( "fig6 balloon_stream",
+        "db241b9aef4620a2c1c4203162d92638",
+        fun () -> digest ~memdyn:Memdyn.Balloon_stream "fig6" );
+    ]
+
 (* Golden: a seeded fleet cell with memdyn off is byte-identical across
    partition counts and matches its pinned digest — off-mode inertness
    at fleet scale. Passing [Memdyn.off] explicitly must also equal not
@@ -340,6 +392,7 @@ let suite =
         test_image_off_mode_pin;
       Alcotest.test_case "tracker call-pattern invariance" `Quick
         test_pagestate_call_pattern_invariance;
+      Alcotest.test_case "tracker epoch pin" `Quick test_pagestate_epoch_pin;
       Alcotest.test_case "tracker balloon accounting" `Quick
         test_pagestate_balloon_accounting;
       Alcotest.test_case "balloon reclaim policy" `Quick test_balloon_policy;
@@ -351,6 +404,7 @@ let suite =
       Alcotest.test_case "stream cuts saved-reboot downtime" `Slow
         test_stream_cuts_downtime;
       qcheck_stream_equals_stop_and_copy;
+      Alcotest.test_case "memdyn output digests" `Slow test_memdyn_goldens;
       Alcotest.test_case "fleet off-mode golden across partitions" `Slow
         test_fleet_off_mode_golden;
     ] )

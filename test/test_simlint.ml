@@ -198,6 +198,36 @@ let test_d012_reachability () =
        (fun (f : Typed.deep_finding) -> f.df.file = "lib/lintdeep/lfx_api.mli")
        findings)
 
+let test_d012_stale_keep () =
+  (* A keep silences the export it names. A keep that names a value no
+     analyzed lib/ interface exports (deleted or renamed since) is
+     itself a finding, so allow.ml cannot outlive the code it keeps. *)
+  let keep value =
+    { Simlint.Allow.value; kind = Simlint.Allow.Test_observer; why = "fixture" }
+  in
+  let findings =
+    Typed.analyze_units
+      ~keeps:
+        [ keep "Lintdeep.Lfx_api.test_only"; keep "Lintdeep.Lfx_api.deleted" ]
+      [
+        deep_input "lfx_api";
+        deep_input "lfx_alias";
+        deep_input ~dir:"bin" "lfx_main";
+        deep_input ~dir:"test" "lfx_test";
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "kept export silent; unused export and stale keep flagged"
+    [ ("lib/lintdeep/lfx_api.mli", 24); ("tools/simlint/allow.ml", 1) ]
+    (List.map
+       (fun (f : Typed.deep_finding) -> (f.df.file, f.df.line))
+       findings);
+  check_true "the stale keep is named"
+    (List.exists
+       (fun (f : Typed.deep_finding) ->
+         Simlint.Allow.contains ~sub:"Lintdeep.Lfx_api.deleted" f.df.message)
+       findings)
+
 let test_sarif_output () =
   let findings = deep_analyze [ "lfx_globals" ] in
   let sarif = Typed.to_sarif findings in
@@ -247,8 +277,8 @@ let test_repo_lints_clean () =
 
 let test_repo_deep_lints_clean () =
   (* The audited tree under the interprocedural rules: lib/ carries no
-     unwaived D009/D010/D011 — the same gate `dune build @lint-deep`
-     applies in CI. *)
+     unwaived D009-D012 finding and allow.ml no stale keep — the same
+     gate `dune build @lint-deep` applies in CI. *)
   match repo_root () with
   | None -> Alcotest.skip ()
   | Some root ->
@@ -306,6 +336,7 @@ let suite =
         test_d011_globals;
       Alcotest.test_case "D012 library code without a production caller"
         `Quick test_d012_reachability;
+      Alcotest.test_case "D012 stale allow.ml keep" `Quick test_d012_stale_keep;
       Alcotest.test_case "SARIF output" `Quick test_sarif_output;
       Alcotest.test_case "JSON carries rule titles" `Quick test_json_titles;
       Alcotest.test_case "repo lints clean" `Quick test_repo_lints_clean;

@@ -51,6 +51,7 @@ let test_power_on () =
 
 let test_create_domain_accounting () =
   let engine, host, vmm = booted_vmm () in
+  let hypercalls = count_hypercalls vmm in
   let free_before = Hw.Memory.free_bytes host.Hw.Host.memory in
   let d = create_domain_exn engine vmm ~name:"vm01" ~mem_bytes:(gib 1) in
   check_int "one domU" 1 (List.length (Vmm.domus vmm));
@@ -60,7 +61,7 @@ let test_create_domain_accounting () =
   (* Guest memory + 2 MiB P2M-mapping table. *)
   check_int "memory + table" (gib 1 + Simkit.Units.mib 2) used;
   check_true "heap charged" (Xenvmm.Vmm_heap.used_bytes (Vmm.heap vmm) > 0);
-  check_int "create hypercall" 1 (Vmm.hypercall_count vmm "domctl_create")
+  check_int "create hypercall" 1 (hypercalls "domctl_create")
 
 let test_destroy_domain_releases_everything () =
   let engine, host, vmm = booted_vmm () in
@@ -98,6 +99,7 @@ let test_heap_exhaustion_on_create () =
 
 let test_balloon_up_down () =
   let engine, _host, vmm = booted_vmm () in
+  let hypercalls = count_hypercalls vmm in
   let d = create_domain_exn engine vmm ~name:"vm01" ~mem_bytes:(gib 1) in
   let p2m = Domain.p2m d in
   (match Vmm.balloon vmm d ~delta_bytes:(Simkit.Units.mib 256) with
@@ -110,7 +112,7 @@ let test_balloon_up_down () =
   check_int "shrunk" (gib 1 - Simkit.Units.mib 256) (Xenvmm.P2m.mapped_bytes p2m);
   check_true "table consistent"
     (Xenvmm.P2m.check_invariants p2m = Ok ());
-  check_int "memory_op hypercalls" 2 (Vmm.hypercall_count vmm "memory_op")
+  check_int "memory_op hypercalls" 2 (hypercalls "memory_op")
 
 let test_suspend_resume_on_memory () =
   let engine, _host, vmm = booted_vmm () in
@@ -162,6 +164,7 @@ let test_resume_wrong_state () =
 
 let test_quick_reload_preserves_suspended () =
   let engine, host, vmm = booted_vmm () in
+  let hypercalls = count_hypercalls vmm in
   let d = create_domain_exn engine vmm ~name:"vm01" ~mem_bytes:(gib 1) in
   run_domain d;
   let p2m_extents_before = Xenvmm.P2m.machine_extents (Domain.p2m d) in
@@ -174,7 +177,7 @@ let test_quick_reload_preserves_suspended () =
   | Some (Ok ()) -> ()
   | _ -> Alcotest.fail "quick reload failed");
   check_int "generation bumped" 2 (Vmm.generation vmm);
-  check_int "xexec hypercall" 1 (Vmm.hypercall_count vmm "xexec");
+  check_int "xexec hypercall" 1 (hypercalls "xexec");
   check_true "domain still suspended" (Domain.state d = Domain.Suspended);
   check_true "same machine frames"
     (Xenvmm.P2m.machine_extents (Domain.p2m d) = p2m_extents_before);

@@ -37,6 +37,7 @@ let test_image_sizes () =
 
 let test_xexec_load_stages () =
   let engine, host, vmm = booted_vmm () in
+  let hypercalls = count_hypercalls vmm in
   check_true "nothing staged" (Vmm.staged_image vmm = None);
   let free_before = Hw.Memory.free_bytes host.Hw.Host.memory in
   let ok = ref None in
@@ -44,7 +45,7 @@ let test_xexec_load_stages () =
   Engine.run engine;
   check_true "loaded" (!ok = Some (Ok ()));
   check_true "staged" (Vmm.staged_image vmm <> None);
-  check_int "xexec hypercall" 1 (Vmm.hypercall_count vmm "xexec");
+  check_int "xexec hypercall" 1 (hypercalls "xexec");
   let used = free_before - Hw.Memory.free_bytes host.Hw.Host.memory in
   check_true "frames held for the image"
     (used >= Image.total_bytes Image.default);
@@ -53,6 +54,7 @@ let test_xexec_load_stages () =
 
 let test_xexec_reload_consumes_image () =
   let engine, host, vmm = booted_vmm () in
+  let hypercalls = count_hypercalls vmm in
   let ok = ref None in
   Vmm.xexec_load vmm (fun r -> ok := Some r);
   Engine.run engine;
@@ -65,16 +67,17 @@ let test_xexec_reload_consumes_image () =
   check_true "image consumed" (Vmm.staged_image vmm = None);
   check_true "staging frames released"
     (Hw.Memory.free_bytes host.Hw.Host.memory > free_before_reload);
-  check_int "still one xexec (pre-staged)" 1 (Vmm.hypercall_count vmm "xexec")
+  check_int "still one xexec (pre-staged)" 1 (hypercalls "xexec")
 
 let test_quick_reload_lazy_staging () =
   let engine, _host, vmm = booted_vmm () in
+  let hypercalls = count_hypercalls vmm in
   run_task engine (Vmm.shutdown_dom0 vmm);
   let reloaded = ref None in
   Vmm.quick_reload vmm (fun r -> reloaded := Some r);
   Engine.run engine;
   check_true "lazy staging works" (!reloaded = Some (Ok ()));
-  check_int "xexec counted once" 1 (Vmm.hypercall_count vmm "xexec")
+  check_int "xexec counted once" 1 (hypercalls "xexec")
 
 let test_restaging_replaces () =
   let engine, host, vmm = booted_vmm () in

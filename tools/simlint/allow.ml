@@ -70,7 +70,8 @@ let entries =
 
 (* D012 keeps: exported lib/ values that no production root reaches
    but that stay, keyed by canonical value name. The kind says why;
-   pretty-printers ([pp], [pp_*]) need no entry. *)
+   pretty-printers ([pp], [pp_*]) need no entry. A keep whose value no
+   lib/ interface exports any more is itself a D012 finding. *)
 type kind =
   | Test_observer
       (** a read-only accessor or invariant check through which a test
@@ -120,7 +121,6 @@ let keeps =
         ("Guest.Service.state", "service lifecycle tests");
         ("Guest.Service.total_downtime", "service downtime accounting test");
         ("Guest.Service.transitions", "integration test of a warm reboot");
-        ("Mem.Pagestate.dirty_pages", "page-state tracker tests");
         ("Mem.Stream.cold_bytes", "streamed-restore tests");
         ("Mem.Stream.complete", "streamed-restore tests");
         ("Rejuv.Cluster.throughput_at", "Section 6 timeline tests");
@@ -139,7 +139,6 @@ let keeps =
         ("Xenvmm.P2m.fold", "P2M table tests");
         ("Xenvmm.P2m.lookup", "P2M lookup tests");
         ("Xenvmm.Scheduler.utilization", "credit-scheduler cap tests");
-        ("Xenvmm.Vmm.hypercall_count", "hypercall tests of create, balloon, xexec");
         ("Xenvmm.Vmm.saved_images", "save/restore and disk-full tests");
         ("Xenvmm.Vmm.staged_image", "xexec staging tests");
         ("Xenvmm.Vmm.preserved_bytes", "warm-reboot preservation test");
@@ -153,7 +152,7 @@ let keeps =
           kind = Paper_reference;
           why =
             "the Section 3.2/5.6 downtime model that tests check the \
-             paper's claims against; ROADMAP items 5 and 8 will call it";
+             paper's claims against; ROADMAP items 6 and 7 will call it";
         })
       [
         "Rejuv.Downtime_model.paper_fits";
@@ -166,16 +165,14 @@ let keeps =
       (fun (value, why) -> { value; kind = Roadmap_hook; why })
       [
         ( "Guest.Service.on_transition",
-          "ROADMAP item 3: incremental healthy-host counts per shard" );
+          "ROADMAP item 10: incremental healthy-host counts per shard" );
         ( "Xenvmm.Domain.on_state_change",
-          "ROADMAP item 3: the matching kernel-side transition hook" );
-        ("Hw.Frame.check_invariants", "ROADMAP item 4: the invariant auditor");
-        ("Xenvmm.P2m.check_invariants", "ROADMAP item 4: the invariant auditor");
+          "ROADMAP item 10: the matching kernel-side transition hook" );
+        ("Hw.Frame.check_invariants", "ROADMAP item 9: the invariant auditor");
+        ("Xenvmm.P2m.check_invariants", "ROADMAP item 9: the invariant auditor");
         ( "Xenvmm.Grant_table.check_invariants",
-          "ROADMAP item 4: the invariant auditor" );
+          "ROADMAP item 9: the invariant auditor" );
       ]
-
-let kept value = List.find_opt (fun k -> String.equal k.value value) keeps
 
 let normalize path =
   let path = String.map (function '\\' -> '/' | c -> c) path in

@@ -17,8 +17,11 @@
    is left (a bounded number of times, in case aliases form a cycle).
 
    A finding survives only with a reason: pretty-printers ([pp],
-   [pp_*]) by name, everything else through an allow.ml entry whose
-   kind says why a value with no production caller stays. *)
+   [pp_*]) by name, everything else through an allow.ml keep whose
+   kind says why a value with no production caller stays. A keep that
+   names a value no analyzed lib/ interface exports is stale
+   ([stale_keeps]): the value was deleted or renamed, and the keep
+   must follow. *)
 
 let root_prefixes = [ "bin/"; "bench/"; "examples/"; "perfbench/"; "tools/" ]
 
@@ -59,7 +62,11 @@ let resolver (units : Callgraph.unit_info list) =
   in
   resolve 16
 
-let analyze ~(units : Callgraph.unit_info list) ~report =
+let analyze ~(units : Callgraph.unit_info list) ~report
+    ~(keeps : Allow.keep list) =
+  let kept key =
+    List.exists (fun (k : Allow.keep) -> String.equal k.value key) keeps
+  in
   let resolve = resolver units in
   let defs = Hashtbl.create 512 in
   List.iter
@@ -101,7 +108,7 @@ let analyze ~(units : Callgraph.unit_info list) ~report =
           (fun (e : Callgraph.export) ->
             if Hashtbl.mem reached (resolve e.e_key)
                || is_pretty_printer e.e_key
-               || Allow.kept e.e_key <> None
+               || kept e.e_key
             then None
             else
               let p = e.e_loc.loc_start in
@@ -122,3 +129,15 @@ let analyze ~(units : Callgraph.unit_info list) ~report =
                 })
           u.exports)
     units
+
+let stale_keeps ~(units : Callgraph.unit_info list) (keeps : Allow.keep list)
+    =
+  let exported = Hashtbl.create 512 in
+  List.iter
+    (fun (u : Callgraph.unit_info) ->
+      if Allow.under_prefix ~prefix:"lib/" u.src then
+        List.iter
+          (fun (e : Callgraph.export) -> Hashtbl.replace exported e.e_key ())
+          u.exports)
+    units;
+  List.filter (fun (k : Allow.keep) -> not (Hashtbl.mem exported k.value)) keeps

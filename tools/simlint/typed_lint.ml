@@ -60,10 +60,40 @@ let read_pairs inputs =
       | _ -> None)
     inputs
 
+(* A stale keep is reported at the allow.ml line that names it when
+   allow.ml is among the analyzed sources (a build scan), else at line 1. *)
+let allow_ml = "tools/simlint/allow.ml"
+
+let stale_keep_finding ~sources (k : Allow.keep) =
+  let needle = Printf.sprintf "%S" k.value in
+  let line =
+    match List.assoc_opt allow_ml sources with
+    | Some real when Sys.file_exists real ->
+      let rec find n = function
+        | [] -> 1
+        | l :: rest ->
+          if Allow.contains ~sub:needle l then n else find (n + 1) rest
+      in
+      find 1 (String.split_on_char '\n' (Lint.read_file real))
+    | _ -> 1
+  in
+  {
+    Rules.file = allow_ml;
+    line;
+    col = 0;
+    rule = "D012";
+    message =
+      Printf.sprintf
+        "allow.ml keeps %s, but no analyzed lib/ interface exports it: \
+         delete the keep"
+        k.value;
+  }
+
 (* D009-D011 run on the units [in_scope] accepts; D012 walks every
-   unit given (its roots live outside lib/) and reports the exports of
-   the units in scope. *)
-let analyze_pairs ?(in_scope = fun _ -> true) pairs =
+   unit given (its roots live outside lib/), reports the exports of
+   the units in scope that neither a root reaches nor [keeps] names,
+   and reports each keep that names no lib/ export. *)
+let analyze_pairs ?(in_scope = fun _ -> true) ~keeps pairs =
   let sources = List.map (fun (r, sp) -> (r.Callgraph.r_src, sp)) pairs in
   let all_units = Callgraph.load ~units_raw:(List.map fst pairs) in
   let units =
@@ -104,7 +134,9 @@ let analyze_pairs ?(in_scope = fun _ -> true) pairs =
     |> List.map (fun f -> { df = f; chain = [] })
   in
   let d012 =
-    Reach.analyze ~units:all_units ~report:(fun u -> in_scope u.src)
+    Reach.analyze ~units:all_units ~report:(fun u -> in_scope u.src) ~keeps
+    @ List.map (stale_keep_finding ~sources)
+        (Reach.stale_keeps ~units:all_units keeps)
     |> List.map (fun f -> { df = f; chain = [] })
   in
   List.sort
@@ -114,7 +146,9 @@ let analyze_pairs ?(in_scope = fun _ -> true) pairs =
         (b.df.file, b.df.line, b.df.col, b.df.rule, b.df.message))
     (d009 @ d010_11 @ d012)
 
-let analyze_units inputs = analyze_pairs (read_pairs inputs)
+(* Fixture analyses: D012 applies only the keeps given. *)
+let analyze_units ?(keeps = []) inputs =
+  analyze_pairs ~keeps (read_pairs inputs)
 
 (* Whole-build scan: every cmt is read, but only units whose source
    sits under one of the requested prefixes are checked, so fixture
@@ -139,7 +173,7 @@ let analyze_build ~build ~prefixes =
        where the process itself is running. *)
     |> List.map (fun (r, _) -> (r, Filename.concat build r.Callgraph.r_src))
   in
-  analyze_pairs ~in_scope pairs
+  analyze_pairs ~in_scope ~keeps:Allow.keeps pairs
 
 (* --- rendering ----------------------------------------------------------- *)
 

@@ -13,7 +13,6 @@ type t = {
   svc_spec : spec;
   mutable svc_state : state;
   mutable observers : (state -> unit) list;
-  mutable history : (float * state) list; (* newest first *)
 }
 
 let create engine ~cpu spec =
@@ -23,7 +22,6 @@ let create engine ~cpu spec =
     svc_spec = spec;
     svc_state = Down;
     observers = [];
-    history = [ (0.0, Down) ];
   }
 
 let state t = t.svc_state
@@ -32,7 +30,6 @@ let is_up t = t.svc_state = Up
 let set_state t s =
   if t.svc_state <> s then begin
     t.svc_state <- s;
-    t.history <- (Simkit.Engine.now t.engine, s) :: t.history;
     List.iter (fun f -> f s) (List.rev t.observers)
   end
 
@@ -64,28 +61,3 @@ let stop t k =
 let kill t = set_state t Down
 
 let force_up t = set_state t Up
-
-let transitions t = List.rev t.history
-
-let total_downtime t ~since ~now =
-  if now < since then invalid_arg "Service.total_downtime: empty window";
-  (* Fold over transitions, accumulating time not spent Up. *)
-  let events = transitions t in
-  let state_at time =
-    List.fold_left
-      (fun acc (tr_time, s) -> if tr_time <= time then s else acc)
-      Down events
-  in
-  let relevant =
-    List.filter (fun (tr_time, _) -> tr_time > since && tr_time <= now) events
-  in
-  let rec go acc cursor cur_state = function
-    | [] ->
-      if cur_state = Up then acc else acc +. (now -. cursor)
-    | (tr_time, s) :: rest ->
-      let acc =
-        if cur_state = Up then acc else acc +. (tr_time -. cursor)
-      in
-      go acc tr_time s rest
-  in
-  go 0.0 since (state_at since) relevant

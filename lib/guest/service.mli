@@ -41,10 +41,5 @@ val force_up : t -> unit
     answering again. *)
 
 val on_transition : t -> (state -> unit) -> unit
-
-val total_downtime : t -> since:float -> now:float -> float
-(** Accumulated time in states other than [Up] over the window,
-    computed from recorded transitions. *)
-
-val transitions : t -> (float * state) list
-(** All recorded (time, new state) transitions in time order. *)
+(** [on_transition t f] calls [f] with the new state on every state
+    change, after the change, in registration order. *)

@@ -130,32 +130,35 @@ let test_warm_reboot_rejuvenates_vmm () =
     (Scenario.vms s)
 
 let test_warm_services_survive_without_restart () =
-  (* Count service start transitions: the warm path must not restart
-     services; the cold path must. *)
-  let starting_count strategy =
-    let s =
-  scenario 1
-    in
+  (* Watch the services through their transition hook: the warm path
+     keeps the same service objects and never restarts them; the cold
+     path re-provisions fresh ones, which come back up. *)
+  let reboot strategy =
+    let s = scenario 1 in
     Rejuv.Roothammer.start_and_run s;
     let vm = List.hd (Scenario.vms s) in
+    let before = Scenario.vm_services vm in
+    let starts = ref 0 in
+    List.iter
+      (fun svc ->
+        Guest.Service.on_transition svc (fun st ->
+            if st = Guest.Service.Starting then incr starts))
+      before;
     ignore (Rejuv.Roothammer.rejuvenate_blocking s ~strategy);
-    let services = Scenario.vm_services vm in
-    List.fold_left
-      (fun acc svc ->
-        acc
-        + List.length
-            (List.filter
-               (fun (_, st) -> st = Guest.Service.Starting)
-               (Guest.Service.transitions svc)))
-      0 services
+    (before, Scenario.vm_services vm, !starts)
   in
-  (* Warm: the service object survives and was started exactly once (at
-     provision time). *)
-  check_int "warm: one start ever" 1 (starting_count Strategy.Warm);
-  (* Cold: the re-provisioned service was started once after the reboot
-     (fresh object, so also one Starting transition — but on a NEW
-     service object; the old object never restarts). *)
-  check_int "cold: fresh service started once" 1 (starting_count Strategy.Cold)
+  let before, after, starts = reboot Strategy.Warm in
+  check_true "warm: services provisioned" (before <> []);
+  check_true "warm: same service objects"
+    (List.length after = List.length before
+    && List.for_all2 ( == ) after before);
+  check_int "warm: no restart" 0 starts;
+  let before, after, starts = reboot Strategy.Cold in
+  check_int "cold: the old services never restart" 0 starts;
+  check_true "cold: fresh service objects"
+    (after <> []
+    && List.for_all (fun svc -> not (List.memq svc before)) after);
+  check_true "cold: fresh services up" (List.for_all Guest.Service.is_up after)
 
 let test_ssh_session_survival_matches_paper () =
   let outage strategy =
@@ -283,6 +286,20 @@ let test_report_holds_at_small_scale () =
     r.Rejuv.Report.entries;
   check_true "verdict" (Rejuv.Report.all_hold r)
 
+(* Golden: the web figures' JSON, which runs every request through the
+   guest page cache, matches its pinned digest. *)
+let test_web_figure_goldens () =
+  List.iter
+    (fun (id, expected) ->
+      Alcotest.(check string) id expected
+        (Digest.to_hex
+           (Digest.string (Experiment.Result.to_json (Experiment.run id)))))
+    [
+      ("fig7", "b50edbe1e134090201e53a50966f86a3");
+      ("fig8_file", "bbccd137f57315c14a302801b7071682");
+      ("fig8_web", "522bb7891a78720295b875e5b423a7e6");
+    ]
+
 let suite =
   ( "integration",
     [
@@ -323,4 +340,6 @@ let suite =
       Alcotest.test_case "jboss cold worse" `Slow
         test_jboss_cold_worse_than_ssh_cold;
       Alcotest.test_case "jboss warm same" `Slow test_jboss_warm_same_as_ssh_warm;
+      Alcotest.test_case "web figure output digests" `Slow
+        test_web_figure_goldens;
     ] )

@@ -119,8 +119,6 @@ let keeps =
         ("Guest.Page_cache.resident_blocks", "LRU eviction tests");
         ("Guest.Page_cache.mem", "LRU tests: a lookup that counts nothing");
         ("Guest.Service.state", "service lifecycle tests");
-        ("Guest.Service.total_downtime", "service downtime accounting test");
-        ("Guest.Service.transitions", "integration test of a warm reboot");
         ("Mem.Stream.cold_bytes", "streamed-restore tests");
         ("Mem.Stream.complete", "streamed-restore tests");
         ("Rejuv.Cluster.throughput_at", "Section 6 timeline tests");

@@ -459,7 +459,7 @@ let fleet () =
 
 (* The same 200-host warm cell, run whole on 1 shard and spread over 4.
    Two machine-independent gates: the reports must agree to the byte
-   (the property the sweep cache and the CLI lean on), and on real
+   (the property `--partitions` leans on), and on real
    multicore hardware 4 shards must be at least 2x faster. The speedup
    gate holds vacuously below 4 effective cores — a 1-core CI runner
    can't parallelize anything — and says so. *)
@@ -658,10 +658,7 @@ let sweep () =
   pf "merged results byte-identical to the sequential path: %b@." identical;
   record ~unit_:"bool" ~tolerance_pct:(Some 0.0) "sweep.merged_identical"
     (if identical then 1.0 else 0.0);
-  record_info ~unit_:"x" "sweep.overlap" (if t_par > 0.0 then run_wall /. t_par else 1.0);
-  (* The runner's own observability: record the batch into the ambient
-     registry and surface shard utilization informationally. *)
-  Runner.Sweep.observe ~elapsed_s:t_par (Obs.ambient ()) outcomes
+  record_info ~unit_:"x" "sweep.overlap" (if t_par > 0.0 then run_wall /. t_par else 1.0)
 
 (* --- Event-core microbenchmark --------------------------------------------
 

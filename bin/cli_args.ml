@@ -96,16 +96,28 @@ let clients_arg =
           "Client populations for the elastic_traffic grid (default \
            10,1000,100000; per-request cells cap at 1000)")
 
+(* --jobs and --partitions count domains, so 0 or a negative count is
+   a usage error before anything runs. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   Arg.(
-    value
-    & opt int (Runner.Pool.default_jobs ())
+    value & opt positive_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for parallel sweeps (1 = sequential)")
+        ~doc:
+          "Worker domains the experiments' cells run on (1 = sequentially, \
+           on the calling domain; $(b,--metrics) needs 1). Output is \
+           byte-identical for every value.")
 
 let partitions_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "partitions" ] ~docv:"N"
         ~doc:
           "Shards (worker domains) a fleet simulation is partitioned \
@@ -132,7 +144,9 @@ let metrics_out_arg =
     value
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write the runner's sweep metrics as JSON to $(docv)")
+        ~doc:
+          "Write the runner's view of the batch (per-cell wall times, \
+           fault count, shard utilization) as JSON to $(docv)")
 
 (* The export's [now] (for counter rates): the instrumented engine
    publishes its clock as a gauge, so read it back from the registry. *)

@@ -1,7 +1,6 @@
-(* Command-line driver: run individual paper experiments through the
-   experiment registry, export any of them as CSV/JSON, and batch them
-   across CPU cores with `sweep --jobs`. `roothammer --help` lists
-   commands. *)
+(* Command-line interface: run paper experiments through the experiment
+   registry, across CPU cores with `run --jobs`, and export any of them
+   as CSV/JSON. `roothammer --help` lists commands. *)
 
 open Cmdliner
 module Experiment = Rejuv.Experiment
@@ -50,7 +49,7 @@ let distinct_ids ids_arg =
   in
   Term.(ret (const check $ ids_arg))
 
-(* The experiment params both `run` and `sweep` take from flags. *)
+(* The experiment params `run` takes from flags. *)
 let params_term =
   let params partitions strategy workload memdyn traffic clients =
     {
@@ -86,41 +85,74 @@ let trace_arg =
            (chrome://tracing, ui.perfetto.dev) to $(docv); needs fig7 \
            among the experiments")
 
+let verify_arg =
+  Arg.(
+    value & flag
+    & info [ "verify" ]
+        ~doc:
+          "After the run, re-run the first cell (in key order) sequentially \
+           and assert its bytes match (isolation check)")
+
 (* `run`'s term, over any source of ids: the positional arguments for
-   `run` itself, a constant list for each figure alias. *)
+   `run` itself, a constant list for each figure alias. The cells run
+   through the sweep runner, in key order, on --jobs domains; what is
+   printed and exported is the same for every --jobs. *)
 let run_term ids =
-  let run verbose ids params smoke csv json metrics trace =
+  let run verbose ids jobs verify params smoke csv json metrics metrics_out
+      trace =
     if Option.is_some trace && not (List.mem "fig7" ids) then
       `Error (false, "--trace needs fig7 among the experiments")
+    else if Option.is_some metrics && (jobs > 1 || verify) then
+      `Error
+        ( false,
+          "--metrics needs --jobs 1 and no --verify: worker domains keep \
+           their own metrics, and --verify runs a cell twice" )
     else begin
       setup_logs verbose;
       (* Fresh ambient registry so --metrics reports this run only. *)
       let registry = Obs.reset_ambient () in
       let params = { params with Spec.smoke } in
-      let results =
-        List.map
-          (fun id ->
-            let r = Experiment.run ~params id in
-            pf "# %s@.%a" id Result.pp r;
-            (id, r))
-          ids
+      let t0 = Unix.gettimeofday () in (* simlint: allow D001 the runner view's elapsed time *)
+      let merged, outcomes =
+        Experiment.sweep ~jobs ~verify_isolation:verify ~params ids
+      in
+      let elapsed_s = Unix.gettimeofday () -. t0 in (* simlint: allow D001 the runner view's elapsed time *)
+      let ok =
+        List.filter_map
+          (fun (id, r) ->
+            match r with
+            | Ok r ->
+              pf "# %s@.%a" id Result.pp r;
+              Some (id, r)
+            | Error f ->
+              pf "# %s FAULTED: %s@." id (Simkit.Fault.to_string f);
+              None)
+          merged
       in
       Option.iter
         (fun path ->
-          match List.assoc "fig7" results with
-          | Result.Fig7 r -> Cli_args.write_file path r.chrome_trace_json
-          | _ -> assert false)
+          match List.assoc_opt "fig7" ok with
+          | Some (Result.Fig7 r) -> Cli_args.write_file path r.chrome_trace_json
+          | Some _ -> assert false
+          | None -> ())
         trace;
-      Cli_args.export ~csv ~json results;
+      Cli_args.export ~csv ~json ok;
       Cli_args.print_metrics ~registry metrics;
+      Option.iter
+        (fun path ->
+          let runner = Obs.Registry.create () in
+          Runner.Sweep.observe ~elapsed_s runner outcomes;
+          Cli_args.write_file path (Obs.Export.to_json ~now:0.0 runner))
+        metrics_out;
+      if List.length ok < List.length merged then exit 1;
       `Ok ()
     end
   in
   Term.(
     ret
-      (const run $ verbose_arg $ ids $ params_term $ smoke_arg
-      $ Cli_args.csv_arg $ Cli_args.json_arg $ Cli_args.metrics_arg
-      $ trace_arg))
+      (const run $ verbose_arg $ ids $ Cli_args.jobs_arg $ verify_arg
+      $ params_term $ smoke_arg $ Cli_args.csv_arg $ Cli_args.json_arg
+      $ Cli_args.metrics_arg $ Cli_args.metrics_out_arg $ trace_arg))
 
 let run_cmd =
   let ids_arg =
@@ -156,115 +188,6 @@ let figure_cmds =
       ~doc:"Section 5.3: availability";
     alias "fig9" [ "fig9" ] ~doc:"Cluster throughput model";
   ]
-
-(* --- the parallel sweep ----------------------------------------------------- *)
-
-let sweep_cmd =
-  let ids_arg =
-    Arg.(
-      value
-      & pos_all experiment_conv [ "fig4"; "fig5"; "fig6" ]
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "Registered experiments to run (default: fig4 fig5 fig6). \
-             `roothammer list` shows all ids.")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Result cache directory (default $(b,\\$ROOTHAMMER_CACHE) or \
-             $(b,_cache))")
-  in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Recompute everything; do not touch the cache")
-  in
-  let verify_arg =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:
-            "After the parallel pass, re-run one cell sequentially and \
-             assert its bytes match (isolation check)")
-  in
-  let quiet_results_arg =
-    Arg.(
-      value & flag
-      & info [ "metrics-only" ] ~doc:"Print runner metrics but not the data")
-  in
-  (* partitions is intra-run parallelism (shards of one fleet cell);
-     jobs is inter-run parallelism (cells at once). They multiply, so
-     crank one at a time. *)
-  let run verbose ids jobs params cache_dir no_cache verify quiet_results csv
-      json metrics_out =
-    setup_logs verbose;
-    let registry = Obs.reset_ambient () in
-    let cache =
-      if no_cache then None else Some (Runner.Cache.create ?dir:cache_dir ())
-    in
-    let t0 = Unix.gettimeofday () in (* simlint: allow D001 user-facing elapsed-time display *)
-    let merged, outcomes =
-      Experiment.sweep ?cache ~jobs ~verify_isolation:verify ~params ids
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in (* simlint: allow D001 user-facing elapsed-time display *)
-    let hits =
-      List.length
-        (List.filter
-           (fun (o : Result.t Runner.Sweep.outcome) -> o.metrics.cached)
-           outcomes)
-    in
-    pf "sweep: %d experiment(s), %d run(s) (%d cached), jobs=%d@."
-      (List.length ids) (List.length outcomes) hits jobs;
-    List.iter
-      (fun (o : Result.t Runner.Sweep.outcome) ->
-        pf "  %-24s %8.3f s %12d events%s@." o.key o.metrics.wall_s
-          o.metrics.sim_events
-          (if o.metrics.cached then "  (cached)" else ""))
-      outcomes;
-    let work = Runner.Sweep.total_wall_s outcomes in
-    if hits = List.length outcomes then
-      pf "all runs served from cache in %.3f s@." elapsed
-    else
-      pf "run wall-clock %.3f s in %.3f s elapsed (parallel speedup %.2fx)@."
-        work elapsed
-        (if elapsed > 0.0 then work /. elapsed else 1.0);
-    let ok, faulted =
-      List.partition_map
-        (fun (id, r) ->
-          match r with Ok v -> Left (id, v) | Error f -> Right (id, f))
-        merged
-    in
-    List.iter
-      (fun (id, f) ->
-        pf "# %s FAULTED: %s@." id (Simkit.Fault.to_string f))
-      faulted;
-    if not quiet_results then
-      List.iter (fun (id, r) -> pf "# %s@.%a" id Result.pp r) ok;
-    Cli_args.export ~csv ~json ok;
-    (* Runner-level observability: per-run wall-time histogram, cache
-       hit rate and shard utilization for this batch. (The simulations
-       themselves ran on worker domains, each with its own ambient
-       registry — their metrics are reachable via `run --metrics`.) *)
-    Option.iter
-      (fun path ->
-        Runner.Sweep.observe ~elapsed_s:elapsed registry outcomes;
-        Cli_args.write_file path (Obs.Export.to_json ~now:0.0 registry))
-      metrics_out;
-    if faulted <> [] then exit 1
-  in
-  cmd "sweep"
-    ~doc:
-      "Run a batch of registered experiments in parallel across CPU cores, \
-       with an on-disk result cache"
-    Term.(
-      const run $ verbose_arg $ distinct_ids ids_arg $ Cli_args.jobs_arg
-      $ params_term $ cache_dir_arg $ no_cache_arg $ verify_arg
-      $ quiet_results_arg $ Cli_args.csv_arg $ Cli_args.json_arg
-      $ Cli_args.metrics_out_arg)
 
 let list_cmd =
   let run () =
@@ -477,6 +400,6 @@ let () =
        (Cmd.group ~default info
           (figure_cmds
           @ [
-              run_cmd; sweep_cmd; list_cmd; migrate_cmd; schedule_cmd;
+              run_cmd; list_cmd; migrate_cmd; schedule_cmd;
               cluster_cmd; fleet_cmd; report_cmd;
             ])))

@@ -557,8 +557,7 @@ let section_5_6_fits ?(vm_counts = [ 0; 2; 4; 6; 8; 11 ]) () =
    requests. Migrate cells pin to one shard — the spare host and the
    migration link are shared, and the fleet run rejects anything
    else. The report is partition-invariant by construction, so a
-   cell's JSON (and its sweep-cache entry) is byte-identical for any
-   [partitions]. *)
+   cell's JSON is byte-identical for any [partitions]. *)
 let fleet_cell ?(partitions = 1) ?(load_rate_per_s = 50.0)
     ?(memdyn = Mem.Memdyn.off) ?(traffic = Netsim.Fluid.default_config) ~seed
     ~hosts ~width ~slo ~strategy () =
@@ -1231,10 +1230,9 @@ module Spec = struct
     mem_gib : int list option;
     smoke : bool;
     partitions : int;
-        (* shards a fleet cell runs on. Deliberately absent from
-           [params_key]: a fleet run is byte-identical for every
-           partition count (that invariant is test-gated), so the
-           sweep cache may serve a cell computed at any partitioning. *)
+        (* shards a fleet cell runs on. A performance knob only: a
+           fleet run is byte-identical for every partition count (that
+           invariant is test-gated). *)
     memdyn : Mem.Memdyn.mode;
         (* memory-dynamics mode for fig4 / fig5 / fig6 / fleet_rolling;
            the other knobs stay at [Mem.Memdyn.default]. *)
@@ -1258,21 +1256,6 @@ module Spec = struct
       traffic = None;
       clients = None;
     }
-
-  let ints_key = function
-    | None -> "default"
-    | Some xs -> String.concat "," (List.map string_of_int xs)
-
-  let params_key p =
-    Printf.sprintf
-      "seed=%d;workload=%s;strategy=%s;vm_counts=%s;mem_gib=%s;smoke=%b;memdyn=%s;traffic=%s;clients=%s"
-      p.seed
-      (Scenario.workload_name p.workload)
-      (Strategy.id p.strategy) (ints_key p.vm_counts) (ints_key p.mem_gib)
-      p.smoke
-      (Mem.Memdyn.mode_name p.memdyn)
-      (Option.fold ~none:"default" ~some:Netsim.Fluid.mode_name p.traffic)
-      (ints_key p.clients)
 
   type nonrec t = {
     id : string;
@@ -1477,30 +1460,21 @@ let tasks_by_id ~params ids =
       if List.length (List.filter (String.equal id) ids) > 1 then
         invalid_arg (Printf.sprintf "Experiment.sweep: %S requested twice" id))
     ids;
-  let params_key = Spec.params_key params in
   List.map
     (fun id ->
       ( id,
         List.map
-          (fun (key, run) ->
-            {
-              Runner.Sweep.key;
-              cache_key =
-                Some
-                  (Runner.Cache.key ~id:key ~params:params_key
-                     ~seed:params.Spec.seed);
-              run;
-            })
+          (fun (key, run) -> { Runner.Sweep.key; cache_key = None; run })
           ((Spec.find_exn id).Spec.cells params) ))
     ids
 
 let sweep_tasks ?(params = Spec.default_params) ids =
   List.concat_map snd (tasks_by_id ~params ids)
 
-let sweep ?jobs ?cache ?verify_isolation ?(params = Spec.default_params) ids =
+let sweep ?jobs ?verify_isolation ?(params = Spec.default_params) ids =
   let by_id = tasks_by_id ~params ids in
   let outcomes =
-    Runner.Sweep.run ?jobs ?cache ?verify_isolation (List.concat_map snd by_id)
+    Runner.Sweep.run ?jobs ?verify_isolation (List.concat_map snd by_id)
   in
   let value (t : Result.t Runner.Sweep.task) =
     (List.find

@@ -184,7 +184,8 @@ val run_traffic_cell :
 
     Every experiment's result, wrapped in one sum type so generic
     tooling — the CLI's [--csv]/[--json] exporters, the text printer,
-    the sweep runner's cache — can handle all of them uniformly. *)
+    the sweep runner's isolation check — can handle all of them
+    uniformly. *)
 
 module Result : sig
   type t =
@@ -234,8 +235,8 @@ end
     ["os_rejuvenation"], ["availability"], ["fig7"], ["fig8_file"],
     ["fig8_web"], ["section_5_6_fits"], ["fig9"], ["fault_matrix"],
     ["fleet_rolling"], ["elastic_restore"], ["elastic_traffic"]. The
-    CLI, the bench harness and the sweep runner all run them through
-    {!run} or {!sweep}. *)
+    CLI and the bench harness run them through {!sweep} (the bench
+    harness also through {!run}). *)
 
 module Spec : sig
   type params = {
@@ -251,10 +252,9 @@ module Spec : sig
             [fleet_rolling], [elastic_restore], [elastic_traffic] — to a
             single small cell (CI smoke runs) *)
     partitions : int;
-        (** shards each [fleet_rolling] cell runs on; default 1.
-            Deliberately not part of {!params_key}: a fleet cell is
-            byte-identical for every partition count, so the sweep
-            cache may serve it computed at any partitioning. *)
+        (** shards each [fleet_rolling] cell runs on; default 1. A
+            performance knob only: a fleet cell is byte-identical for
+            every partition count. *)
     memdyn : Mem.Memdyn.mode;
         (** memory-dynamics mode for [fig4] / [fig5] / [fig6] /
             [fleet_rolling]; default [Off], the exact pre-memdyn code
@@ -272,10 +272,6 @@ module Spec : sig
   }
 
   val default_params : params
-
-  val params_key : params -> string
-  (** Canonical one-line rendering, used in cache keys: equal params
-      always produce equal strings. *)
 
   type t = {
     id : string;
@@ -312,22 +308,21 @@ val run : ?params:Spec.params -> string -> Result.t
 
 val sweep_tasks :
   ?params:Spec.params -> string list -> Result.t Runner.Sweep.task list
-(** Expand experiment ids into their cells as runner tasks, with cache
-    keys derived from (cell key, params, seed) by {!Runner.Cache.key}.
-    Raises [Invalid_argument] on an unknown or repeated id. *)
+(** Expand experiment ids into their cells as runner tasks, in cell
+    order (their [cache_key] is [None]). Raises [Invalid_argument] on
+    an unknown or repeated id. *)
 
 val sweep :
   ?jobs:int ->
-  ?cache:Runner.Cache.t ->
   ?verify_isolation:bool ->
   ?params:Spec.params ->
   string list ->
   (string * (Result.t, Simkit.Fault.t) result) list
   * Result.t Runner.Sweep.outcome list
 (** Run the named experiments' cells through {!Runner.Sweep.run} —
-    across [jobs] domains, consulting [cache] when given — and merge
-    each experiment's cell results in cell-list order, into one value
-    per experiment id (in the order requested). An experiment whose
+    across [jobs] domains, started in key order — and merge each
+    experiment's cell results in cell-list order, into one value per
+    experiment id (in the order requested). An experiment whose
     cell faulted merges to [Error] (the first fault in cell order)
     instead of aborting the whole sweep; the other experiments still
     report [Ok]. Also returns the raw per-cell outcomes, in key order,

@@ -1,20 +1,12 @@
 type 'a task = { key : string; cache_key : string option; run : unit -> 'a }
 
-type metrics = { wall_s : float; sim_events : int; cached : bool }
+type metrics = { wall_s : float; sim_events : int }
 
 type 'a outcome = {
   key : string;
   value : ('a, Simkit.Fault.t) result;
   metrics : metrics;
 }
-
-type 'a codec = { encode : 'a -> string; decode : string -> 'a }
-
-let marshal_codec () =
-  {
-    encode = (fun v -> Marshal.to_string v []);
-    decode = (fun s -> Marshal.from_string s 0);
-  }
 
 (* A run that dies on a typed fault is a result, not a crash: the rest
    of the sweep proceeds and the caller sees the fault in its outcome.
@@ -24,71 +16,37 @@ let guarded run =
   | v -> Ok v
   | exception Simkit.Fault.Error f -> Error f
 
-let execute ?cache ~(codec : 'a codec) (t : 'a task) =
+let execute (t : 'a task) =
   let t0 = Unix.gettimeofday () in
-  let cached_bytes =
-    match (cache, t.cache_key) with
-    | Some c, Some k -> Cache.find c k
-    | _ -> None
-  in
-  match cached_bytes with
-  | Some bytes ->
-    let value = codec.decode bytes in
-    {
-      key = t.key;
-      value = Ok value;
-      metrics =
-        { wall_s = Unix.gettimeofday () -. t0; sim_events = 0; cached = true };
-    }
-  | None ->
-    let ev0 = Simkit.Engine.domain_events_processed () in
-    let value = guarded t.run in
-    let sim_events = Simkit.Engine.domain_events_processed () - ev0 in
-    (match (cache, t.cache_key, value) with
-    (* Faulted runs are never cached: a fixed injection plan will
-       reproduce them, and a changed one should not see stale faults. *)
-    | Some c, Some k, Ok v -> Cache.store c k (codec.encode v)
-    | _ -> ());
-    {
-      key = t.key;
-      value;
-      metrics =
-        { wall_s = Unix.gettimeofday () -. t0; sim_events; cached = false };
-    }
+  let ev0 = Simkit.Engine.domain_events_processed () in
+  let value = guarded t.run in
+  let sim_events = Simkit.Engine.domain_events_processed () - ev0 in
+  {
+    key = t.key;
+    value;
+    metrics = { wall_s = Unix.gettimeofday () -. t0; sim_events };
+  }
 
-let run ?jobs ?cache ?codec ?(verify_isolation = false)
-    (tasks : 'a task list) =
-  let codec = match codec with Some c -> c | None -> marshal_codec () in
+let run ?jobs ?(verify_isolation = false) (tasks : 'a task list) =
   let tasks =
     List.sort (fun (a : 'a task) b -> String.compare a.key b.key) tasks
     |> Array.of_list
   in
-  let outcomes = Pool.parallel_map ?jobs (execute ?cache ~codec) tasks in
-  if verify_isolation then begin
-    (* Replay the first freshly computed task on this domain; a
-       deterministic run can only differ if some mutable state was
-       shared across domains during the parallel pass. *)
-    let encode_result = function
-      | Ok v -> "ok:" ^ codec.encode v
-      | Error f -> "fault:" ^ Marshal.to_string (f : Simkit.Fault.t) []
-    in
-    let check i =
-      let replay = encode_result (guarded tasks.(i).run) in
-      let parallel = encode_result outcomes.(i).value in
-      if not (String.equal replay parallel) then
-        Simkit.Fault.fail
-          (Simkit.Fault.Invariant
-             (Printf.sprintf
-                "Sweep.run: task %S is not reproducible — parallel and \
-                 sequential results differ (shared mutable state leaked \
-                 between domains?)"
-                tasks.(i).key))
-    in
-    let rec first_fresh i =
-      if i < Array.length outcomes then
-        if outcomes.(i).metrics.cached then first_fresh (i + 1) else check i
-    in
-    first_fresh 0
+  let outcomes = Pool.parallel_map ?jobs execute tasks in
+  if verify_isolation && Array.length tasks > 0 then begin
+    (* Replay the first task on this domain; a deterministic run can
+       only differ if some mutable state was shared across domains
+       during the parallel pass. *)
+    let bytes (r : ('a, Simkit.Fault.t) result) = Marshal.to_string r [] in
+    let replay = bytes (guarded tasks.(0).run) in
+    if not (String.equal replay (bytes outcomes.(0).value)) then
+      Simkit.Fault.fail
+        (Simkit.Fault.Invariant
+           (Printf.sprintf
+              "Sweep.run: task %S is not reproducible — parallel and \
+               sequential results differ (shared mutable state leaked \
+               between domains?)"
+              tasks.(0).key))
   end;
   Array.to_list outcomes
 
@@ -97,25 +55,16 @@ let total_wall_s outcomes =
 
 let observe ?(prefix = "runner.sweep") ?elapsed_s reg outcomes =
   let wall = Obs.Registry.histogram reg (prefix ^ ".run_wall_s") in
-  let fresh = ref 0 and cached = ref 0 and faulted = ref 0 in
-  let sim_events = ref 0 in
+  let faulted = ref 0 and sim_events = ref 0 in
   List.iter
     (fun o ->
       Obs.Metric.Histogram.observe wall o.metrics.wall_s;
       sim_events := !sim_events + o.metrics.sim_events;
-      if o.metrics.cached then incr cached else incr fresh;
       match o.value with Error _ -> incr faulted | Ok _ -> ())
     outcomes;
   let g field v = Obs.Registry.set_gauge reg (prefix ^ "." ^ field) v in
   g "runs" (float_of_int (List.length outcomes));
-  g "cache_hits" (float_of_int !cached);
-  g "fresh_runs" (float_of_int !fresh);
   g "faulted_runs" (float_of_int !faulted);
-  let hits_over_total =
-    let n = !cached + !fresh in
-    if n = 0 then 0.0 else float_of_int !cached /. float_of_int n
-  in
-  g "cache_hit_rate" hits_over_total;
   g "sim_events" (float_of_int !sim_events);
   g "total_wall_s" (total_wall_s outcomes);
   Option.iter

@@ -1,7 +1,6 @@
 (** Parallel sweep runner: execute a batch of independent, deterministic
-    simulation runs across domains, with per-run metrics, an optional
-    on-disk cache, and a result order fixed by task key — never by
-    completion order.
+    simulation runs across domains, with per-run metrics and a result
+    order fixed by task key — never by completion order.
 
     Tasks must be self-contained: each [run] thunk builds its own
     engine and RNG from its seed and shares no mutable state with any
@@ -15,16 +14,15 @@ type 'a task = {
       (** Unique sort/merge key, e.g. ["fig4/mem=07"]. Results are
           returned in ascending key order. *)
   cache_key : string option;
-      (** Full cache identity from {!Cache.key}; [None] disables
-          caching for this task even when a cache is supplied. *)
+      (** Ignored; nothing reads it. It stays only because
+          perfbench/vmm_sweep.ml builds tasks itself and sets it, and it
+          goes once that file stops. *)
   run : unit -> 'a;
 }
 
 type metrics = {
   wall_s : float;  (** real time spent producing this result *)
-  sim_events : int;
-      (** simulator callbacks executed for this run; [0] on cache hits *)
-  cached : bool;
+  sim_events : int;  (** simulator callbacks executed for this run *)
 }
 
 type 'a outcome = {
@@ -36,28 +34,15 @@ type 'a outcome = {
   metrics : metrics;
 }
 
-type 'a codec = { encode : 'a -> string; decode : string -> 'a }
-(** Byte serialization used for the cache and for isolation checks. *)
-
-val marshal_codec : unit -> 'a codec
-(** [Marshal]-based codec — fine for plain-data results (no closures,
-    no custom blocks). *)
-
-val run :
-  ?jobs:int ->
-  ?cache:Cache.t ->
-  ?codec:'a codec ->
-  ?verify_isolation:bool ->
-  'a task list ->
-  'a outcome list
+val run : ?jobs:int -> ?verify_isolation:bool -> 'a task list -> 'a outcome list
 (** Execute every task, [jobs] at a time ({!Pool.parallel_map}
-    semantics; [jobs] defaults to {!Pool.default_jobs}). Outcomes are
-    sorted by [key]. With [cache], tasks whose [cache_key] hits are not
-    run at all; fresh results are stored back (faulted runs are never
-    cached). [codec] defaults to {!marshal_codec}. [verify_isolation]
-    (default [false]) re-runs the first non-cached task sequentially
-    afterwards and raises [Simkit.Fault.Error (Invariant _)] if its
-    bytes differ from the parallel result. *)
+    semantics; [jobs] defaults to {!Pool.default_jobs}). Tasks are
+    sorted by [key] before they reach the pool, and outcomes come back
+    in that order. [verify_isolation] (default [false]) re-runs the
+    first task sequentially afterwards and raises
+    [Simkit.Fault.Error (Invariant _)] if its [Marshal] bytes differ
+    from the parallel result. Results must therefore be plain data (no
+    closures, no custom blocks) when it is set. *)
 
 val total_wall_s : 'a outcome list -> float
 (** Sum of per-run wall clocks — the sequential-equivalent cost, to
@@ -67,7 +52,7 @@ val observe :
   ?prefix:string -> ?elapsed_s:float -> Obs.Registry.t -> 'a outcome list -> unit
 (** Record a finished batch into [reg] under [prefix] (default
     ["runner.sweep"]): a per-run wall-time histogram plus gauges for
-    run/cache-hit/fault counts, cache hit rate, simulated events and
-    total wall time. With [elapsed_s] (the batch's real elapsed time)
-    also records [shard_utilization] — average busy cores, i.e.
-    {!total_wall_s} / elapsed. *)
+    the run and fault counts, simulated events and total wall time.
+    With [elapsed_s] (the batch's real elapsed time) also records
+    [shard_utilization] — average busy cores, i.e. {!total_wall_s} /
+    elapsed. *)

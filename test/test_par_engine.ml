@@ -115,9 +115,8 @@ let qcheck_partition_invariance =
 
 (* Golden: the fleet_rolling smoke cell, via the registry exactly as
    the sweep runner drives it, matches its pinned digest and is
-   byte-identical for partitions 1/2/4. This is the identity the sweep
-   cache relies on when it serves a cell computed at a different
-   partitioning (partitions is deliberately absent from params_key). *)
+   byte-identical for partitions 1/2/4: --partitions only spreads one
+   run's hosts over cores, it never changes what the run reports. *)
 let test_fleet_rolling_golden_across_partitions () =
   let module E = Rejuv.Experiment in
   let spec = E.Spec.find_exn "fleet_rolling" in

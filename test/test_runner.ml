@@ -1,15 +1,13 @@
 (* The parallel sweep runner: work-stealing pool semantics, key-ordered
-   deterministic outcomes, the on-disk result cache, and the guarantee
-   that every registered experiment serializes through Result.to_json
-   and merges the same under [Experiment.sweep] as under
-   [Experiment.run]. *)
+   deterministic outcomes, the isolation check, and the guarantee that
+   every registered experiment serializes through Result.to_json and
+   merges the same under [Experiment.sweep] as under [Experiment.run]. *)
 open Helpers
 module Experiment = Rejuv.Experiment
 module Result = Rejuv.Experiment.Result
 module Spec = Rejuv.Experiment.Spec
 module Pool = Runner.Pool
 module Sweep = Runner.Sweep
-module Cache = Runner.Cache
 
 (* --- Pool ----------------------------------------------------------------- *)
 
@@ -71,8 +69,7 @@ let test_sweep_key_order () =
   List.iter
     (fun (o : _ Sweep.outcome) ->
       check_true "value matches key" (o.value = Ok o.key);
-      check_true "wall clock measured" (o.metrics.wall_s >= 0.0);
-      check_false "nothing cached" o.metrics.cached)
+      check_true "wall clock measured" (o.metrics.wall_s >= 0.0))
     outcomes
 
 let cheap_params =
@@ -105,99 +102,26 @@ let test_sweep_isolation_check_passes () =
       check_true "simulated events attributed" (o.metrics.sim_events > 0))
     outcomes
 
-(* --- Cache ---------------------------------------------------------------- *)
-
-let with_temp_cache f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "roothammer-test-%d" (Unix.getpid ()))
+(* Tasks that read and bump one shared counter leak state between
+   runs. The replay of the first task comes after every task has
+   bumped the counter, so it always reads a value no parallel run
+   read, whatever the scheduling. *)
+let test_sweep_isolation_check_catches_a_leak () =
+  let shared = Atomic.make 0 in
+  let task key =
+    {
+      Sweep.key;
+      cache_key = None;
+      run = (fun () -> Atomic.fetch_and_add shared 1);
+    }
   in
-  let cache = Cache.create ~dir () in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f cache)
-
-let test_cache_hit_skips_run () =
-  with_temp_cache (fun cache ->
-      let runs = Atomic.make 0 in
-      let task =
-        {
-          Sweep.key = "t";
-          cache_key = Some (Cache.key ~id:"t" ~params:"p" ~seed:42);
-          run =
-            (fun () ->
-              Atomic.incr runs;
-              [ 1.5; 2.5 ]);
-        }
-      in
-      let first = Sweep.run ~jobs:1 ~cache [ task ] in
-      let second = Sweep.run ~jobs:1 ~cache [ task ] in
-      check_int "ran exactly once" 1 (Atomic.get runs);
-      match (first, second) with
-      | [ f ], [ s ] ->
-        check_false "first pass computed" f.Sweep.metrics.cached;
-        check_true "second pass served from cache" s.Sweep.metrics.cached;
-        check_int "cache hit costs no sim events" 0 s.Sweep.metrics.sim_events;
-        check_true "identical value" (f.Sweep.value = s.Sweep.value)
-      | _ -> Alcotest.fail "expected one outcome per pass")
-
-let test_cache_key_identity () =
-  let k ~seed = Cache.key ~id:"fig4/mem=01" ~params:"p" ~seed in
-  check_true "stable for equal identity"
-    (String.equal (k ~seed:42) (k ~seed:42));
-  check_false "seed changes the key" (String.equal (k ~seed:42) (k ~seed:43));
-  check_false "params change the key"
-    (String.equal (k ~seed:42)
-       (Cache.key ~id:"fig4/mem=01" ~params:"q" ~seed:42))
-
-(* A cached value is only valid for the build that computed it. Before
-   the executable's digest joined the key, a cell's key was the digest
-   of (cell key, params, seed, calibration hash), so a rebuilt
-   simulator would read the old build's bytes, or decode a changed
-   record layout from them. Plant a wrong result under that old key:
-   the sweep must compute the cell afresh instead of serving it. *)
-let test_cache_ignores_other_builds () =
-  with_temp_cache (fun cache ->
-      let params = Spec.default_params in
-      let id = "quick_reload" in
-      let cell_key =
-        match (Spec.find_exn id).Spec.cells params with
-        | [ (key, _) ] -> key
-        | _ -> Alcotest.fail "quick_reload is one cell"
-      in
-      let calibration =
-        Digest.to_hex
-          (Digest.string (Marshal.to_string Rejuv.Calibration.default []))
-      in
-      let old_key =
-        Digest.to_hex
-          (Digest.string
-             (String.concat "\x00"
-                [
-                  cell_key;
-                  Spec.params_key params;
-                  string_of_int params.Spec.seed;
-                  calibration;
-                ]))
-      in
-      let wrong = Experiment.run ~params "os_rejuvenation" in
-      Cache.store cache old_key (Marshal.to_string wrong []);
-      let merged, outcomes = Experiment.sweep ~jobs:1 ~cache ~params [ id ] in
-      (match outcomes with
-      | [ o ] -> check_false "not served from the cache" o.Sweep.metrics.cached
-      | _ -> Alcotest.fail "expected one outcome");
-      match merged with
-      | [ (_, Ok r) ] ->
-        Alcotest.(check string)
-          "freshly computed value"
-          (Result.to_json (Experiment.run ~params id))
-          (Result.to_json r)
-      | _ -> Alcotest.fail "expected one merged result")
+  match
+    Sweep.run ~jobs:2 ~verify_isolation:true
+      (List.map task [ "a"; "b"; "c"; "d" ])
+  with
+  | _ -> Alcotest.fail "a task reading shared state passed the isolation check"
+  | exception Simkit.Fault.Error (Simkit.Fault.Invariant _) ->
+    check_int "every task ran, then the replay" 5 (Atomic.get shared)
 
 (* --- Result.to_json ------------------------------------------------------- *)
 
@@ -368,11 +292,8 @@ let suite =
         test_sweep_parallel_equals_sequential;
       Alcotest.test_case "sweep: isolation check and metrics" `Quick
         test_sweep_isolation_check_passes;
-      Alcotest.test_case "cache: hit skips the run" `Quick
-        test_cache_hit_skips_run;
-      Alcotest.test_case "cache: key identity" `Quick test_cache_key_identity;
-      Alcotest.test_case "cache: another build's entry is not served" `Quick
-        test_cache_ignores_other_builds;
+      Alcotest.test_case "sweep: isolation check catches a leak" `Quick
+        test_sweep_isolation_check_catches_a_leak;
       Alcotest.test_case "json validator sanity" `Quick
         test_json_validator_sanity;
       Alcotest.test_case "every experiment -> valid JSON" `Slow

@@ -275,7 +275,7 @@ let check ~path structure =
         | Some l when List.exists is_closures_flag l ->
           emit ~loc "D005"
             "Marshal.Closures admits closures into serialized state; \
-             cache entries must be closed data"
+             marshalled results must be closed data"
         | Some _ -> ()
         | None ->
           emit ~loc "D005"

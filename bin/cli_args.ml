@@ -35,17 +35,6 @@ let workload_arg =
     & info [ "workload" ]
         ~doc:(enum_doc Rejuv.Scenario.workload_enum "Service in each VM"))
 
-let wave_strategy_conv = enum_conv Rejuv.Wave.strategy_enum
-
-let wave_strategy_arg =
-  Arg.(
-    value
-    & opt (some wave_strategy_conv) None
-    & info [ "wave-strategy" ]
-        ~doc:
-          (enum_doc Rejuv.Wave.strategy_enum
-             "Per-wave rejuvenation strategy (default: all)"))
-
 let csv_arg =
   Arg.(
     value

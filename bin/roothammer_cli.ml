@@ -1,6 +1,8 @@
-(* Command-line interface: run paper experiments through the experiment
-   registry, across CPU cores with `run --jobs`, and export any of them
-   as CSV/JSON. `roothammer --help` lists commands. *)
+(* Command-line interface: `run` runs registered experiments by id,
+   across CPU cores with `--jobs`, and exports any of them as CSV/JSON;
+   `list` shows the registry, the nine figure commands are `run` over
+   fixed ids, and `report` prints the paper-vs-measured summary.
+   `roothammer --help` lists commands. *)
 
 open Cmdliner
 module Experiment = Rejuv.Experiment
@@ -197,183 +199,7 @@ let list_cmd =
   in
   cmd "list" ~doc:"List the registered experiments" Term.(const run $ const ())
 
-(* --- non-registry tools ----------------------------------------------------- *)
-
-let migrate_cmd =
-  let mem_arg =
-    Arg.(value & opt int 1 & info [ "mem-gib" ] ~doc:"VM memory in GiB")
-  in
-  let dirty_arg =
-    Arg.(
-      value & opt float 20.0
-      & info [ "dirty-mib" ] ~doc:"Dirty rate while running, MiB/s")
-  in
-  let run verbose mem_gib dirty_mib =
-    setup_logs verbose;
-    let p =
-      Rejuv.Migration.plan
-        ~mem_bytes:(Simkit.Units.gib mem_gib)
-        ~dirty_bytes_per_s:(dirty_mib *. 1048576.0)
-        ()
-    in
-    pf "pre-copy rounds:@.";
-    List.iteri
-      (fun i (bytes, duration) ->
-        pf "  round %2d: %8.1f MiB in %6.2f s@." (i + 1)
-          (Simkit.Units.bytes_to_mib bytes)
-          duration)
-      p.Rejuv.Migration.rounds;
-    pf "stop-and-copy: %.1f MiB, blackout %.2f s@."
-      (Simkit.Units.bytes_to_mib p.Rejuv.Migration.stop_copy_bytes)
-      p.Rejuv.Migration.downtime_s;
-    pf "total migration time: %.1f s@." p.Rejuv.Migration.total_s
-  in
-  cmd "migrate" ~doc:"Pre-copy live migration plan (Section 6)"
-    Term.(const run $ verbose_arg $ mem_arg $ dirty_arg)
-
-let schedule_cmd =
-  let duration_arg =
-    Arg.(
-      value & opt float 42.0
-      & info [ "duration" ] ~doc:"Rejuvenation outage length, seconds")
-  in
-  let run verbose duration =
-    setup_logs verbose;
-    (* A diurnal request-rate forecast, hour resolution. *)
-    let profile =
-      List.init 24 (fun h ->
-          let load =
-            if h < 7 then 80.0
-            else if h < 9 then 400.0
-            else if h < 18 then 900.0
-            else if h < 22 then 500.0
-            else 150.0
-          in
-          (float_of_int h *. 3600.0, load))
-    in
-    let start, cost =
-      Rejuv.Policy.Load.best_window profile ~duration
-        ~horizon:(24.0 *. 3600.0)
-    in
-    pf
-      "best %.0f s rejuvenation window starts at %02d:%02d (displaces %.0f \
-       requests)@."
-      duration
-      (int_of_float (start /. 3600.0))
-      (int_of_float (Float.rem start 3600.0 /. 60.0))
-      cost;
-    pf "midday placement would displace %.0f@."
-      (Rejuv.Policy.Load.cost profile ~start:(12.0 *. 3600.0) ~duration)
-  in
-  cmd "schedule" ~doc:"Load-aware placement of the rejuvenation window"
-    Term.(const run $ verbose_arg $ duration_arg)
-
-let blind_dispatch_arg =
-  Arg.(
-    value & flag
-    & info [ "blind-dispatch" ]
-        ~doc:
-          "Offer each host 1/hosts of the load whatever its health, so a \
-           request sent to a down host is lost (the paper's lost-request \
-           model), instead of redirecting it to a healthy host")
-
-let cluster_cmd =
-  let hosts_arg =
-    Arg.(value & opt int 4 & info [ "hosts" ] ~doc:"Cluster size")
-  in
-  let run verbose hosts strategy blind_dispatch =
-    setup_logs verbose;
-    let cfg = { Rejuv.Fleet.Config.cluster with hosts; blind_dispatch } in
-    let fleet = Rejuv.Fleet.create cfg in
-    Rejuv.Fleet.start fleet;
-    pf "%d hosts up; rolling %s under %.0f req/s...@." hosts
-      (Rejuv.Strategy.name strategy)
-      cfg.Rejuv.Fleet.Config.load_rate_per_s;
-    let r = Rejuv.Fleet.run fleet ~strategy:(Rejuv.Wave.Reboot strategy) in
-    pf "rolling cycle: %.1f s; per-host %s@." r.Rejuv.Fleet.makespan_s
-      (String.concat " "
-         (List.map
-            (fun w -> Printf.sprintf "%.0fs" w.Rejuv.Fleet.wave_makespan_s)
-            r.Rejuv.Fleet.waves));
-    pf "requests lost: %d of %d (%.1f %%)@." r.Rejuv.Fleet.lost
-      r.Rejuv.Fleet.offered
-      (100.0 *. r.Rejuv.Fleet.loss_ratio)
-  in
-  cmd "cluster" ~doc:"Rolling rejuvenation across a simulated cluster"
-    Term.(
-      const run $ verbose_arg $ hosts_arg $ Cli_args.strategy_arg
-      $ blind_dispatch_arg)
-
-let fleet_cmd =
-  let hosts_arg =
-    Arg.(value & opt int 16 & info [ "hosts" ] ~doc:"Fleet size")
-  in
-  let width_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "wave-width" ]
-          ~doc:"Hosts rejuvenated per wave (clamped to the SLO slack)")
-  in
-  let slo_arg =
-    Arg.(
-      value & opt float 0.7
-      & info [ "slo" ] ~doc:"Fraction of hosts that must stay healthy")
-  in
-  let load_arg =
-    Arg.(
-      value & opt float 200.0
-      & info [ "load" ] ~doc:"Poisson client stream, requests per second")
-  in
-  let run verbose hosts width slo load partitions wave_strategy memdyn traffic
-      blind_dispatch metrics =
-    setup_logs verbose;
-    let registry = Obs.reset_ambient () in
-    let traffic_cfg =
-      match traffic with
-      | None -> Netsim.Fluid.default_config
-      | Some mode -> { Netsim.Fluid.default_config with Netsim.Fluid.mode }
-    in
-    let fleet =
-      Rejuv.Fleet.create
-        {
-          Rejuv.Fleet.Config.default with
-          hosts;
-          wave_width = width;
-          slo;
-          load_rate_per_s = load;
-          blind_dispatch;
-          partitions;
-          host =
-            {
-              Rejuv.Fleet.Config.default.Rejuv.Fleet.Config.host with
-              Rejuv.Scenario.Config.memdyn = Mem.Memdyn.default memdyn;
-              traffic = traffic_cfg;
-            };
-        }
-    in
-    Rejuv.Fleet.start fleet;
-    let strategy =
-      Option.value wave_strategy ~default:(Rejuv.Wave.Reboot Rejuv.Strategy.Warm)
-    in
-    pf "%d hosts up (%d shard(s)); rolling %s waves of <= %d under %.0f \
-        req/s...@."
-      hosts
-      (Simkit.Par_engine.shards (Rejuv.Fleet.par fleet))
-      (Rejuv.Wave.strategy_id strategy)
-      width load;
-    let r = Rejuv.Fleet.run fleet ~strategy in
-    pf "%a" Result.pp (Result.Fleet [ r ]);
-    Cli_args.print_metrics ~registry metrics
-  in
-  cmd "fleet"
-    ~doc:
-      "Fleet-scale rolling rejuvenation under an SLO guard (waves of hosts, \
-       warm/saved/cold/migrate)"
-    Term.(
-      const run $ verbose_arg $ hosts_arg $ width_arg $ slo_arg $ load_arg
-      $ Cli_args.partitions_arg $ Cli_args.wave_strategy_arg
-      $ Cli_args.memdyn_arg $ Cli_args.traffic_arg $ blind_dispatch_arg
-      $ Cli_args.metrics_arg)
+(* --- the paper-vs-measured report ------------------------------------------ *)
 
 let report_cmd =
   let n_arg =
@@ -398,8 +224,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          (figure_cmds
-          @ [
-              run_cmd; list_cmd; migrate_cmd; schedule_cmd;
-              cluster_cmd; fleet_cmd; report_cmd;
-            ])))
+          (figure_cmds @ [ run_cmd; list_cmd; report_cmd ])))

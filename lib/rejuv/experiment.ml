@@ -748,6 +748,132 @@ let run_traffic_cell ?seed (mode, clients, strategy) =
     tw_tracer_requests = Netsim.Fluid.tracer_requests load;
   }
 
+(* --- Side studies: named values ------------------------------------------- *)
+
+(* Figure 2 for one VM over eight weeks: weekly OS rejuvenation and a
+   VMM rejuvenation every four weeks. Each event is a value in weeks,
+   named after its strategy and kind, in time order; the counts follow. *)
+let fig2_values strategy =
+  let week = Simkit.Units.weeks 1.0 in
+  let events =
+    Policy.schedule ~strategy ~vm_count:1 ~os_interval_s:week
+      ~vmm_interval_s:(4.0 *. week) ~horizon_s:((8.0 *. week) +. 1.0)
+  in
+  let name what = Strategy.id strategy ^ "." ^ what in
+  List.map
+    (function
+      | Policy.Os_rejuvenation { at; _ } -> (name "os_week", at /. week)
+      | Policy.Vmm_rejuvenation { at } -> (name "vmm_week", at /. week))
+    events
+  @ [
+      (name "os_rejuvenations", float_of_int (Policy.os_rejuvenation_count events));
+      (name "vmm_rejuvenations", float_of_int (Policy.vmm_rejuvenation_count events));
+    ]
+
+(* Section 6, executed: pre-copy plans for an idle and a busy 1 GiB VM,
+   the evacuation of 11 busy VMs, and the warm-VM reboot that needs no
+   spare host. *)
+let migration_values () =
+  let plan name dirty_mib =
+    let p =
+      Migration.plan ~mem_bytes:(Simkit.Units.gib 1)
+        ~dirty_bytes_per_s:(dirty_mib *. 1048576.0) ()
+    in
+    ( p.Migration.total_s,
+      [
+        (name ^ ".dirty_mib_per_s", dirty_mib);
+        (name ^ ".rounds", float_of_int (List.length p.Migration.rounds));
+        (name ^ ".precopy_s", p.Migration.precopy_s);
+        (name ^ ".blackout_s", p.Migration.downtime_s);
+        (name ^ ".total_s", p.Migration.total_s);
+      ] )
+  in
+  let _, idle = plan "idle" 1.0 in
+  let busy_s, busy = plan "busy" 20.0 in
+  idle @ busy
+  @ [
+      ("evacuate_11_busy_min", 11.0 *. busy_s /. 60.0);
+      ( "warm_reboot_11_vms_s",
+        (run_reboot ~strategy:Strategy.Warm ~vm_count:11
+           ~vm_mem_bytes:(Simkit.Units.gib 1) ())
+          .downtime_mean_s );
+    ]
+
+(* What each RootHammer design choice buys: each ablation flips one
+   [Calibration] knob (or adds a driver domain, or moves the window)
+   against the paper's design. *)
+let ablation_values () =
+  let base = Calibration.default in
+  let reboot ?(calibration = base) ~n strategy =
+    run_reboot ~calibration ~strategy ~vm_count:n
+      ~vm_mem_bytes:(Simkit.Units.gib 1) ()
+  in
+  let no_skip = { base with Calibration.scrub_free_only = false } in
+  let vmm_reboot ?calibration n =
+    (reboot ?calibration ~n Strategy.Warm).vmm_reboot_s
+  in
+  let downtime ?calibration strategy =
+    (reboot ?calibration ~n:5 strategy).downtime_mean_s
+  in
+  let warm = downtime Strategy.Warm in
+  (* Driver domains cannot be suspended (Section 7). *)
+  let s =
+    Scenario.create
+      { Scenario.Config.default with vm_count = 3; driver_vm_count = 1 }
+  in
+  Roothammer.start_and_run s;
+  let probers = Scenario.attach_probers s () in
+  ignore (Roothammer.rejuvenate_blocking s ~strategy:Strategy.Warm);
+  Roothammer.settle s ~seconds:2.0;
+  List.iter Netsim.Prober.stop probers;
+  let diurnal = [ (0.0, 300.0); (9.0 *. 3600.0, 900.0); (21.0 *. 3600.0, 120.0) ] in
+  let start, cost =
+    Policy.Load.best_window diurnal ~duration:warm ~horizon:(24.0 *. 3600.0)
+  in
+  [
+    ("scrub_skip.reboot_vmm_n00_s", vmm_reboot 0);
+    ("scrub_skip.reboot_vmm_n11_s", vmm_reboot 11);
+    ("no_scrub_skip.reboot_vmm_n00_s", vmm_reboot ~calibration:no_skip 0);
+    ("no_scrub_skip.reboot_vmm_n11_s", vmm_reboot ~calibration:no_skip 11);
+    ("suspend_after.warm_downtime_s", warm);
+    ( "suspend_before.warm_downtime_s",
+      downtime
+        ~calibration:{ base with Calibration.suspend_before_dom0_shutdown = true }
+        Strategy.Warm );
+    ("serial_restore.saved_downtime_s", downtime Strategy.Saved);
+    ( "parallel_restore.saved_downtime_s",
+      downtime
+        ~calibration:{ base with Calibration.parallel_restore = true }
+        Strategy.Saved );
+  ]
+  @ List.map2
+      (fun vm p ->
+        ( "driver_domain." ^ Scenario.vm_name vm ^ "_downtime_s",
+          Option.value (Netsim.Prober.longest_outage p) ~default:0.0 ))
+      (Scenario.vms s) probers
+  @ [
+      ("load_window.outage_s", warm);
+      ("load_window.start_h", start /. 3600.0);
+      ("load_window.cost", cost);
+      ( "load_window.midday_cost",
+        Policy.Load.cost diurnal ~start:(12.0 *. 3600.0) ~duration:warm );
+    ]
+
+(* Does the warm reboot still win on 2020s hardware? 11 VMs of 8 GiB on
+   the 2007 testbed scaled to 128 GiB, and on [Calibration.modern]. *)
+let sensitivity_values () =
+  let profile name calibration =
+    List.map
+      (fun strategy ->
+        ( Printf.sprintf "%s.%s_s" name (Strategy.id strategy),
+          (run_reboot ~calibration ~strategy ~vm_count:11
+             ~vm_mem_bytes:(Simkit.Units.gib 8) ~horizon_s:3600.0 ())
+            .downtime_mean_s ))
+      [ Strategy.Warm; Strategy.Saved; Strategy.Cold ]
+  in
+  profile "hdd2007_128gib" (Calibration.with_memory Calibration.default ~gib:128)
+  @ profile "modern" Calibration.modern
+
 (* --- Uniform results ----------------------------------------------------- *)
 
 module Result = struct
@@ -765,6 +891,7 @@ module Result = struct
     | Fleet of Fleet.report list
     | Elastic of elastic_row list
     | Traffic of traffic_row list
+    | Values of (string * float) list
 
   let kind = function
     | Task_times _ -> "task_times"
@@ -780,6 +907,7 @@ module Result = struct
     | Fleet _ -> "fleet"
     | Elastic _ -> "elastic"
     | Traffic _ -> "traffic"
+    | Values _ -> "values"
 
   let jf f = Jsonx.Float f
 
@@ -945,6 +1073,12 @@ module Result = struct
       | Fleet reports -> Jsonx.Arr (List.map json_fleet reports)
       | Elastic rows -> Jsonx.Arr (List.map json_elastic rows)
       | Traffic rows -> Jsonx.Arr (List.map json_traffic rows)
+      | Values values ->
+        Jsonx.Arr
+          (List.map
+             (fun (name, v) ->
+               Jsonx.Obj [ ("name", Jsonx.Str name); ("value", jf v) ])
+             values)
     in
     Jsonx.Obj [ ("kind", Jsonx.Str (kind t)); ("data", payload) ]
 
@@ -1096,6 +1230,8 @@ module Result = struct
               string_of_int r.tw_tracer_requests;
             ])
           rows )
+    | Values values ->
+      ([ "name"; "value" ], List.map (fun (name, v) -> [ name; fl v ]) values)
 
   let pp ppf t =
     let pf fmt = Format.fprintf ppf fmt in
@@ -1195,6 +1331,8 @@ module Result = struct
             r.tw_clients (Strategy.id r.tw_strategy) r.tw_steady_rps
             r.tw_outage_s r.tw_completed r.tw_failed r.tw_tracer_requests)
         rows
+    | Values values ->
+      List.iter (fun (name, v) -> pf "%-34s %12.6g@." name v) values
 
   (* Cell results of one experiment concatenate; scalar-like results
      only "merge" when the batch produced exactly one of them. *)
@@ -1212,6 +1350,7 @@ module Result = struct
           | Fleet a, Fleet b -> Fleet (a @ b)
           | Elastic a, Elastic b -> Elastic (a @ b)
           | Traffic a, Traffic b -> Traffic (a @ b)
+          | Values a, Values b -> Values (a @ b)
           | _ ->
             invalid_arg
               (Printf.sprintf "Experiment.Result.merge: cannot merge %s + %s"
@@ -1227,7 +1366,6 @@ module Spec = struct
     workload : Scenario.workload;
     strategy : Strategy.t;
     vm_counts : int list option;
-    mem_gib : int list option;
     smoke : bool;
     partitions : int;
         (* shards a fleet cell runs on. A performance knob only: a
@@ -1249,7 +1387,6 @@ module Spec = struct
       workload = Scenario.Ssh;
       strategy = Strategy.Warm;
       vm_counts = None;
-      mem_gib = None;
       smoke = false;
       partitions = 1;
       memdyn = Mem.Memdyn.Off;
@@ -1329,8 +1466,7 @@ let () =
     [
       grid "fig4" "Task times vs memory size of one VM (Figure 4)"
         ~key:(Printf.sprintf "mem=%02d")
-        ~points:(fun p ->
-          Option.value p.Spec.mem_gib ~default:default_sweep_counts)
+        ~points:(fun _ -> default_sweep_counts)
         (fun p gib ->
           Result.Task_times
             [
@@ -1387,6 +1523,8 @@ let () =
         (fun p -> Result.Before_after (fig8_web ~strategy:p.Spec.strategy ()));
       single "section_5_6_fits" "Fitted downtime model (Section 5.6)"
         (fun p -> Result.Fits (section_5_6_fits ?vm_counts:p.Spec.vm_counts ()));
+      single "fig2" "Rejuvenation timing, warm vs cold (Figure 2)" (fun _ ->
+          Result.Values (fig2_values Strategy.Warm @ fig2_values Strategy.Cold));
       single "fig9" "Cluster throughput model (Figure 9 / Section 6)" (fun _ ->
           let p = Cluster.paper_params () in
           Result.Timeline
@@ -1395,6 +1533,26 @@ let () =
               ("cold", Cluster.cold_timeline p ~reboot_at:600.0);
               ("migration", Cluster.migration_timeline p ~migrate_at:600.0);
             ]);
+      grid "cluster"
+        "Figure 9, measured: rolling rejuvenation of the Section 6 cluster \
+         under blind dispatch"
+        ~key:(fun s -> "s=" ^ Strategy.id s)
+        ~points:(fun _ -> Strategy.all)
+        (fun _ strategy ->
+          (* Blind dispatch on purpose: a request sent to the rebooting
+             host is lost, which is what the Figure 9 model counts. *)
+          let fleet =
+            Fleet.create { Fleet.Config.cluster with blind_dispatch = true }
+          in
+          Fleet.start fleet;
+          Result.Fleet [ Fleet.run fleet ~strategy:(Wave.Reboot strategy) ]);
+      single "migration" "Live migration vs the warm-VM reboot (Section 6, executed)"
+        (fun _ -> Result.Values (migration_values ()));
+      single "ablation" "What each RootHammer design choice buys (ablations)"
+        (fun _ -> Result.Values (ablation_values ()));
+      single "sensitivity"
+        "Warm, saved and cold downtime on the 2007 testbed vs a 2020s server"
+        (fun _ -> Result.Values (sensitivity_values ()));
       grid "fault_matrix"
         "Recovery success per strategy x injection site (fault campaign)"
         ~key:(fun (s, site) ->
@@ -1449,24 +1607,38 @@ let () =
 
 (* --- Running experiments ------------------------------------------------- *)
 
-let run ?(params = Spec.default_params) id =
-  Result.merge
-    (List.map (fun (_, cell) -> cell ()) ((Spec.find_exn id).Spec.cells params))
+(* A name is an experiment id (all its cells) or one cell's key. *)
+let cells_of ~params name =
+  let id = List.hd (String.split_on_char '/' name) in
+  let cells = (Spec.find_exn id).Spec.cells params in
+  if String.equal id name then cells
+  else
+    match List.filter (fun (key, _) -> String.equal key name) cells with
+    | [] -> invalid_arg (Printf.sprintf "Experiment.sweep: no cell %S" name)
+    | cell -> cell
 
-(* Each requested experiment's cells as runner tasks, in cell order. *)
-let tasks_by_id ~params ids =
+(* Each requested name's cells as runner tasks, in cell order. *)
+let tasks_by_id ~params names =
+  let by_name =
+    List.map
+      (fun name ->
+        ( name,
+          List.map
+            (fun (key, run) -> { Runner.Sweep.key; cache_key = None; run })
+            (cells_of ~params name) ))
+      names
+  in
+  let keys =
+    List.concat_map
+      (fun (_, tasks) -> List.map (fun (t : _ Runner.Sweep.task) -> t.key) tasks)
+      by_name
+  in
   List.iter
-    (fun id ->
-      if List.length (List.filter (String.equal id) ids) > 1 then
-        invalid_arg (Printf.sprintf "Experiment.sweep: %S requested twice" id))
-    ids;
-  List.map
-    (fun id ->
-      ( id,
-        List.map
-          (fun (key, run) -> { Runner.Sweep.key; cache_key = None; run })
-          ((Spec.find_exn id).Spec.cells params) ))
-    ids
+    (fun key ->
+      if List.length (List.filter (String.equal key) keys) > 1 then
+        invalid_arg (Printf.sprintf "Experiment.sweep: %S requested twice" key))
+    keys;
+  by_name
 
 let sweep_tasks ?(params = Spec.default_params) ids =
   List.concat_map snd (tasks_by_id ~params ids)

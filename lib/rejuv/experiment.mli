@@ -1,8 +1,9 @@
-(** Every experiment of the paper's Section 5 (and the Figure 9 model
-    of Section 6), registered under a stable id as a list of cells (see
-    {!Spec}); {!run} and {!sweep} run them. The building blocks below
-    ({!run_reboot}, {!fleet_cell}, {!run_traffic_cell}, ...) serve
-    measurements that are not registered experiments.
+(** Every experiment of the paper's evaluation (Figures 2 and 4–9,
+    Sections 5.2, 5.3 and 5.6) and of this reproduction's side studies,
+    registered under a stable id as a list of cells (see {!Spec});
+    {!sweep} runs them. The building blocks below ({!run_reboot},
+    {!fleet_cell}, {!run_traffic_cell}, ...) serve the cells and the
+    bench harness's synthetic checks.
 
     All runs are deterministic given the seed (default 42). *)
 
@@ -207,6 +208,9 @@ module Result : sig
         (** the memory-dynamics restore grid *)
     | Traffic of traffic_row list
         (** the traffic-model grid (["elastic_traffic"]) *)
+    | Values of (string * float) list
+        (** named values in order, names may repeat — the side studies
+            (["fig2"], ["migration"], ["ablation"], ["sensitivity"]) *)
 
   val kind : t -> string
   (** Constructor name, for dispatch and the JSON envelope. *)
@@ -231,12 +235,12 @@ end
 (** {1 The experiment registry}
 
     Every experiment is registered as a {!Spec.t} under a stable id —
-    ["fig4"], ["fig5"], ["fig6"], ["quick_reload"],
+    ["fig2"], ["fig4"], ["fig5"], ["fig6"], ["quick_reload"],
     ["os_rejuvenation"], ["availability"], ["fig7"], ["fig8_file"],
-    ["fig8_web"], ["section_5_6_fits"], ["fig9"], ["fault_matrix"],
+    ["fig8_web"], ["section_5_6_fits"], ["fig9"], ["cluster"],
+    ["migration"], ["ablation"], ["sensitivity"], ["fault_matrix"],
     ["fleet_rolling"], ["elastic_restore"], ["elastic_traffic"]. The
-    CLI and the bench harness run them through {!sweep} (the bench
-    harness also through {!run}). *)
+    CLI and the bench harness run them through {!sweep}. *)
 
 module Spec : sig
   type params = {
@@ -246,7 +250,6 @@ module Spec : sig
     vm_counts : int list option;
         (** fig5 / fig6 / section_5_6_fits sweep points; [None] = the
             experiment's paper-default sweep *)
-    mem_gib : int list option;  (** [None] = paper default (fig4) *)
     smoke : bool;
         (** shrink each of the four grids — [fault_matrix],
             [fleet_rolling], [elastic_restore], [elastic_traffic] — to a
@@ -299,18 +302,17 @@ module Spec : sig
   val ids : unit -> string list
 end
 
-(** {1 Running experiments} *)
+(** {1 Running experiments}
 
-val run : ?params:Spec.params -> string -> Result.t
-(** Run the experiment's cells in this domain, in list order, and merge
-    them. Raises [Invalid_argument] on an unknown id and
-    [Simkit.Fault.Error] if a cell faults. *)
+    A name is an experiment id, which stands for all its cells, or one
+    cell's key (e.g. ["fleet_rolling/h=0200/w=016/s=warm"]), which
+    stands for that cell alone. *)
 
 val sweep_tasks :
   ?params:Spec.params -> string list -> Result.t Runner.Sweep.task list
-(** Expand experiment ids into their cells as runner tasks, in cell
-    order (their [cache_key] is [None]). Raises [Invalid_argument] on
-    an unknown or repeated id. *)
+(** Expand names into their cells as runner tasks, in cell order
+    (their [cache_key] is [None]). Raises [Invalid_argument] on an
+    unknown name or a cell named twice. *)
 
 val sweep :
   ?jobs:int ->
@@ -319,14 +321,13 @@ val sweep :
   string list ->
   (string * (Result.t, Simkit.Fault.t) result) list
   * Result.t Runner.Sweep.outcome list
-(** Run the named experiments' cells through {!Runner.Sweep.run} —
-    across [jobs] domains, started in key order — and merge each
-    experiment's cell results in cell-list order, into one value per
-    experiment id (in the order requested). An experiment whose
-    cell faulted merges to [Error] (the first fault in cell order)
-    instead of aborting the whole sweep; the other experiments still
-    report [Ok]. Also returns the raw per-cell outcomes, in key order,
-    with their wall-clock / simulated-event metrics. The merged results
-    are byte-identical to {!run}'s, whatever the scheduling. Raises
-    [Invalid_argument] before running anything if an id is unknown or
-    repeated. *)
+(** Run the named cells through {!Runner.Sweep.run} — across [jobs]
+    domains, started in key order — and merge each name's cell results
+    in cell-list order, into one value per name (in the order
+    requested). A name whose cell faulted merges to [Error] (the first
+    fault in cell order) instead of aborting the whole sweep; the other
+    names still report [Ok]. Also returns the raw per-cell outcomes, in
+    key order, with their wall-clock / simulated-event metrics. The
+    merged results are byte-identical for every [jobs]. Raises
+    [Invalid_argument] before running anything on an unknown name or a
+    cell named twice. *)

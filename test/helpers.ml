@@ -42,6 +42,14 @@ let count_hypercalls vmm =
     | _ -> ());
   fun name -> Option.value (Hashtbl.find_opt counts name) ~default:0
 
+(* One registered experiment (or cell) through the sweep runner on the
+   calling domain, merged, as JSON; a faulted cell fails the test. *)
+let experiment_json ?params name =
+  match Rejuv.Experiment.sweep ~jobs:1 ?params [ name ] with
+  | [ (_, Ok r) ], _ -> Rejuv.Experiment.Result.to_json r
+  | [ (_, Error f) ], _ -> Alcotest.failf "%s: %s" name (Simkit.Fault.to_string f)
+  | _ -> Alcotest.failf "%s: not one merged result" name
+
 let qtest ?(count = 200) name arbitrary law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary law)
 

@@ -199,7 +199,7 @@ let test_experiment_json_pinned () =
     (fun (id, golden) ->
       Alcotest.(check string)
         (id ^ " bytes") golden
-        (Rejuv.Experiment.Result.to_json (Rejuv.Experiment.run id)))
+        (experiment_json id))
     pinned_experiment_json
 
 let suite =

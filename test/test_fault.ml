@@ -9,7 +9,6 @@ module Plan = Simkit.Fault.Plan
 module Strategy = Rejuv.Strategy
 module Fault_matrix = Rejuv.Fault_matrix
 module Spec = Rejuv.Experiment.Spec
-module Result = Rejuv.Experiment.Result
 
 (* --- taxonomy ------------------------------------------------------------- *)
 
@@ -139,8 +138,8 @@ let test_injected_cell_pays_for_recovery () =
 
 let test_fault_matrix_byte_identical () =
   let params = { Spec.default_params with seed = 1234; smoke = true } in
-  let j1 = Result.to_json (Rejuv.Experiment.run ~params "fault_matrix") in
-  let j2 = Result.to_json (Rejuv.Experiment.run ~params "fault_matrix") in
+  let j1 = experiment_json ~params "fault_matrix" in
+  let j2 = experiment_json ~params "fault_matrix" in
   check_true "json non-trivial" (String.length j1 > 2);
   check_true "same seed, byte-identical JSON" (String.equal j1 j2)
 

@@ -286,18 +286,32 @@ let test_report_holds_at_small_scale () =
     r.Rejuv.Report.entries;
   check_true "verdict" (Rejuv.Report.all_hold r)
 
-(* Golden: the web figures' JSON, which runs every request through the
-   guest page cache, matches its pinned digest. *)
-let test_web_figure_goldens () =
-  List.iter
-    (fun (id, expected) ->
+(* Each experiment's JSON, the bytes `run <id> --json` writes, matches
+   its pinned digest. *)
+let check_digests =
+  List.iter (fun (id, expected) ->
       Alcotest.(check string) id expected
-        (Digest.to_hex
-           (Digest.string (Experiment.Result.to_json (Experiment.run id)))))
+        (Digest.to_hex (Digest.string (experiment_json id))))
+
+(* Golden: the web figures, which run every request through the guest
+   page cache. *)
+let test_web_figure_goldens () =
+  check_digests
     [
       ("fig7", "b50edbe1e134090201e53a50966f86a3");
       ("fig8_file", "bbccd137f57315c14a302801b7071682");
       ("fig8_web", "522bb7891a78720295b875e5b423a7e6");
+    ]
+
+(* Golden: the side studies. *)
+let test_side_study_goldens () =
+  check_digests
+    [
+      ("fig2", "59c346dea4db0ecf3360d3eccaf517da");
+      ("migration", "4dc45b0412cbaa21105750ad640a159e");
+      ("ablation", "c35e30f435790c9887bba6ca8ec201ef");
+      ("sensitivity", "559c3b78557d1d30354485de7e21f0db");
+      ("cluster", "34e3ad4281d86dc6c3848d48f79438f4");
     ]
 
 let suite =
@@ -342,4 +356,6 @@ let suite =
       Alcotest.test_case "jboss warm same" `Slow test_jboss_warm_same_as_ssh_warm;
       Alcotest.test_case "web figure output digests" `Slow
         test_web_figure_goldens;
+      Alcotest.test_case "side study output digests" `Slow
+        test_side_study_goldens;
     ] )

@@ -333,9 +333,7 @@ let qcheck_stream_equals_stop_and_copy =
 let test_memdyn_goldens () =
   let digest ?(memdyn = Memdyn.Off) id =
     let params = { Experiment.Spec.default_params with memdyn } in
-    Digest.to_hex
-      (Digest.string
-         (Experiment.Result.to_json (Experiment.run ~params id)))
+    Digest.to_hex (Digest.string (experiment_json ~params id))
   in
   List.iter
     (fun (label, expected, actual) ->

@@ -123,7 +123,7 @@ let test_fleet_rolling_golden_across_partitions () =
   let rolling ~partitions =
     let params = { E.Spec.default_params with smoke = true; partitions } in
     check_true "smoke grid is non-empty" (spec.E.Spec.cells params <> []);
-    E.Result.to_json (E.run ~params "fleet_rolling")
+    experiment_json ~params "fleet_rolling"
   in
   let one = rolling ~partitions:1 in
   Alcotest.(check string)

@@ -1,7 +1,7 @@
 (* The parallel sweep runner: work-stealing pool semantics, key-ordered
    deterministic outcomes, the isolation check, and the guarantee that
    every registered experiment serializes through Result.to_json and
-   merges the same under [Experiment.sweep] as under [Experiment.run]. *)
+   merges to the same bytes under [Experiment.sweep] at any [jobs]. *)
 open Helpers
 module Experiment = Rejuv.Experiment
 module Result = Rejuv.Experiment.Result
@@ -76,7 +76,6 @@ let cheap_params =
   {
     Spec.default_params with
     vm_counts = Some [ 1; 2 ];
-    mem_gib = Some [ 1; 2 ];
     smoke = true;
   }
 
@@ -96,7 +95,7 @@ let test_sweep_isolation_check_passes () =
     Experiment.sweep ~jobs:2 ~verify_isolation:true ~params:cheap_params
       [ "fig4" ]
   in
-  check_int "one outcome per shard" 2 (List.length outcomes);
+  check_int "one outcome per fig4 cell" 6 (List.length outcomes);
   List.iter
     (fun (o : _ Sweep.outcome) ->
       check_true "simulated events attributed" (o.metrics.sim_events > 0))
@@ -222,13 +221,15 @@ let test_every_experiment_round_trips_json () =
   (* Run every registered spec end-to-end (cheap sweep points where the
      experiment is parameterized, plus the full fault_matrix and
      elastic_restore grids) and check its merged Result renders as
-     well-formed JSON with the right envelope, byte-identical to
-     [Experiment.run]'s. *)
+     well-formed JSON with the right envelope, byte-identical at
+     --jobs 1 and --jobs 2. *)
   let check params ids =
     let merged, _ = Experiment.sweep ~jobs:2 ~params ids in
+    let sequential, _ = Experiment.sweep ~jobs:1 ~params ids in
     check_int "one result per id" (List.length ids) (List.length merged);
+    check_true "ids in request order" (List.map fst merged = ids);
     List.iter2
-      (fun id (id', result) ->
+      (fun (id, sequential) (id', result) ->
         check_true "id preserved" (String.equal id id');
         match result with
         | Ok result ->
@@ -241,11 +242,13 @@ let test_every_experiment_round_trips_json () =
             (String.length json >= String.length prefix
             && String.equal (String.sub json 0 (String.length prefix)) prefix);
           Alcotest.(check string)
-            (id ^ ": sweep merge = run")
-            (Result.to_json (Experiment.run ~params id))
+            (id ^ ": jobs 1 = jobs 2")
+            (match sequential with
+            | Ok r -> Result.to_json r
+            | Error f -> Simkit.Fault.to_string f)
             json
         | Error f -> Alcotest.failf "%s: %s" id (Simkit.Fault.to_string f))
-      ids merged
+      sequential merged
   in
   check cheap_params (Spec.ids ());
   check { cheap_params with smoke = false } [ "fault_matrix"; "elastic_restore" ]

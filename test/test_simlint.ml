@@ -6,7 +6,6 @@
 open Helpers
 module Lint = Simlint.Lint
 module Spec = Rejuv.Experiment.Spec
-module Result = Rejuv.Experiment.Result
 
 let fixture name = Filename.concat "lint_fixtures" name
 
@@ -303,11 +302,9 @@ let test_same_seed_byte_identical () =
   (* The property D001-D004 exist to protect: re-running a registered
      experiment with the same seed must reproduce the result down to
      the last byte of its JSON rendering. *)
-  let params =
-    { Spec.default_params with seed = 1234; mem_gib = Some [ 1; 2 ] }
-  in
-  let j1 = Result.to_json (Rejuv.Experiment.run ~params "fig4") in
-  let j2 = Result.to_json (Rejuv.Experiment.run ~params "fig4") in
+  let params = { Spec.default_params with seed = 1234 } in
+  let j1 = experiment_json ~params "fig4" in
+  let j2 = experiment_json ~params "fig4" in
   check_true "json non-trivial" (String.length j1 > 2);
   check_true "same seed, byte-identical JSON" (String.equal j1 j2)
 

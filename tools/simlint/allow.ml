@@ -122,8 +122,6 @@ let keeps =
         ("Mem.Stream.cold_bytes", "streamed-restore tests");
         ("Mem.Stream.complete", "streamed-restore tests");
         ("Rejuv.Cluster.throughput_at", "Section 6 timeline tests");
-        ("Rejuv.Policy.os_rejuvenation_count", "Figure 2 schedule tests");
-        ("Rejuv.Policy.vmm_rejuvenation_count", "Figure 2 schedule tests");
         ("Rejuv.Policy.Load.level_at", "load-profile tests");
         ("Simkit.Fault.Plan.calls", "injection-plan trigger tests");
         ("Simkit.Fault.Plan.fired", "injection-plan trigger tests");
